@@ -4,12 +4,11 @@ equicontinuity at a point.
 """
 
 import csv
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import folner
-from .spaces import act, metric
+from . import folner, pushforward
+from .spaces import metric
 
 DEFAULT_WINDOWS = {folner.LampBox: (1, 12)}
 
@@ -20,10 +19,9 @@ def default_window(family):
 
 def cesaro_metric(space, x, y, family, n, budget=folner.ATOM_BUDGET):
     """(1/|F_n|) * sum over g in F_n of d(g.x, g.y), exact."""
-    els = folner.elements(family, n, budget)
-    counts = Counter((act(space, g, x), act(space, g, y)) for g in els)
-    total = sum(metric(space, p, q) * c for (p, q), c in counts.items())
-    return total / len(els)
+    return pushforward.means(space, (x, y), family, [n],
+                             lambda pair: metric(space, pair[0], pair[1]),
+                             budget)[0]
 
 
 @dataclass

@@ -6,12 +6,13 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import averaging, density, folner, gallery, measures, relations, spaces
 from .folner import BudgetError, LampBox, ZCentered, ZInitial, ZShifted
-from .groups import render
+from .groups import LAMPLIGHTER, parse, render
 
 FAMILIES = {
     "z-initial": ZInitial,
@@ -21,15 +22,28 @@ FAMILIES = {
 }
 
 
-def _family(name):
+class SystemExit2(Exception):
+    """A usage error: bad input from the command line (exit code 2)."""
+
+
+def _family(name, space=None):
     try:
-        return FAMILIES[name]()
+        fam = FAMILIES[name]()
     except KeyError:
         raise SystemExit2("unknown family %r; have %s" % (name, sorted(FAMILIES)))
+    if (space is not None and folner.group_of_family(fam) == LAMPLIGHTER
+            and space.group != LAMPLIGHTER):
+        raise SystemExit2("family %r does not act on %s" % (name, space.name))
+    return fam
 
 
-class SystemExit2(Exception):
-    pass
+def _parsed(parser, text, *args):
+    """Read one piece of command-line text; malformed text is a usage
+    error, reported with the parser's reason."""
+    try:
+        return parser(text, *args)
+    except ValueError as e:
+        raise SystemExit2("cannot read %r: %s" % (text, e))
 
 
 def _frac(v):
@@ -40,12 +54,34 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def _index(text):
+    """argparse type of a Folner index."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("Folner index must be >= 1, got %d" % n)
+    return n
+
+
+def _window(args):
+    lo, hi = args.window
+    if lo > hi:
+        raise SystemExit2("empty window %d..%d" % (lo, hi))
+    return lo, hi
+
+
 def _space(args):
-    return gallery.build(args.system)
+    return _parsed(gallery.build, args.system)
+
+
+def _point(space, text):
+    return _parsed(spaces.parse_point, text, space)
 
 
 def _pair(space, text):
-    p = spaces.parse_point(text, space)
+    p = _point(space, text)
     if not isinstance(p, tuple):
         raise SystemExit2("expected a pair like 'a;b', got %r" % (text,))
     return p
@@ -60,12 +96,10 @@ def cmd_folner(args):
                            folner.elements(fam, args.n, args.budget)]
     if args.defect:
         group = folner.group_of_family(fam)
-        from .groups import parse
-        K = [parse(t, group) for t in args.defect.split(";")]
+        K = [_parsed(parse, t, group) for t in args.defect.split(";")]
         out["defect"] = _frac(folner.defect(fam, args.n, K, args.budget))
     if args.bound:
-        from .groups import parse
-        g = parse(args.bound, "lamplighter")
+        g = _parsed(parse, args.bound, LAMPLIGHTER)
         out["lamp_defect_bound"] = _frac(folner.lamp_defect_bound(g, args.n))
     _emit(out)
     return 0
@@ -73,11 +107,11 @@ def cmd_folner(args):
 
 def cmd_avg(args):
     space = _space(args)
-    x = spaces.parse_point(args.x, space)
-    y = spaces.parse_point(args.y, space)
-    fam = _family(args.family)
-    prof = averaging.besicovitch_profile(space, x, y, fam,
-                                         tuple(args.window), args.budget)
+    x = _point(space, args.x)
+    y = _point(space, args.y)
+    fam = _family(args.family, space)
+    prof = averaging.besicovitch_profile(space, x, y, fam, _window(args),
+                                         args.budget)
     if args.csv:
         averaging.profile_to_csv(prof, args.csv)
     _emit({"system": args.system, "family": args.family,
@@ -92,10 +126,12 @@ def cmd_density(args):
     space = _space(args)
     pair = _pair(space, args.pair)
     center = _pair(space, args.center)
+    if not math.isfinite(args.radius):
+        raise SystemExit2("radius must be finite, got %r" % args.radius)
     nbhd = spaces.Ball(center, Fraction(args.radius).limit_denominator(10 ** 6))
-    fam = _family(args.family)
-    prof = density.ua_dens_estimate(space, pair, nbhd, fam,
-                                    tuple(args.window), args.budget)
+    fam = _family(args.family, space)
+    prof = density.ua_dens_estimate(space, pair, nbhd, fam, _window(args),
+                                    args.budget)
     _emit({"system": args.system, "window": list(prof.window),
            "ratios": [_frac(r) for r in prof.ratios],
            "tail_max": _frac(prof.tail_max)})
@@ -104,8 +140,8 @@ def cmd_density(args):
 
 def cmd_measure(args):
     space = _space(args)
-    start = spaces.parse_point(args.start, space)
-    fam = _family(args.family)
+    start = _point(space, args.start)
+    fam = _family(args.family, space)
     m = measures.empirical(space, start, fam, args.n, args.budget)
     _emit({"system": args.system, "n": args.n,
            "measure": measures.measure_to_json(m)})
@@ -160,7 +196,11 @@ def cmd_icer(args):
 
 
 def cmd_reproduce(args):
-    names = sorted(gallery.SYSTEMS) if args.system == "all" else [args.system]
+    if args.system == "all":
+        names = sorted(gallery.SYSTEMS)
+    else:
+        _space(args)
+        names = [args.system]
     ok = True
     reports = []
     for name in names:
@@ -191,7 +231,7 @@ def build_parser():
 
     p = sub.add_parser("folner", help="enumerate sets and exact defects")
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_index, required=True)
     p.add_argument("--list", action="store_true")
     p.add_argument("--defect", help="';'-separated elements for K")
     p.add_argument("--bound", help="lamplighter element for the defect bound")
@@ -202,7 +242,7 @@ def build_parser():
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--window", type=int, nargs=2, default=[1, 60])
+    p.add_argument("--window", type=_index, nargs=2, default=[1, 60])
     p.add_argument("--csv")
     p.set_defaults(fn=cmd_avg)
 
@@ -212,14 +252,14 @@ def build_parser():
     p.add_argument("--center", required=True, help="ball center pair 'a;b'")
     p.add_argument("--radius", type=float, default=0.25)
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--window", type=int, nargs=2, default=[1, 120])
+    p.add_argument("--window", type=_index, nargs=2, default=[1, 120])
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("measure", help="empirical measure along a family")
     p.add_argument("--system", required=True)
     p.add_argument("--start", required=True, help="point or pair")
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_index, required=True)
     p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("detect", help="run registered relation detectors")
@@ -255,9 +295,6 @@ def main(argv=None):
         print("budget error: %s" % e, file=sys.stderr)
         return 3
     except SystemExit2 as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -6,8 +6,8 @@ translates of a fixed window shape.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import folner
-from .groups import IntShift, multiply
+from . import folner, pushforward
+from .groups import IntShift
 from .spaces import act, contains
 
 
@@ -42,12 +42,17 @@ class DensityProfile:
         return [(lo + i, r) for i, r in enumerate(self.ratios)]
 
 
+def hitting_ratios(space, pair, nbhd, family, ns, budget=folner.ATOM_BUDGET):
+    """|hits in F_n| / |F_n| for each n in `ns`, read from the
+    pushforward kernel; `hitting_density` over `folner.elements` is the
+    enumerating reference."""
+    return pushforward.means(space, pair, family, ns, _hit(space, nbhd), budget)
+
+
 def ua_dens_estimate(space, pair, nbhd, family, window, budget=folner.ATOM_BUDGET):
     """Upper density along the family: |hits in F_n| / |F_n| per n."""
     lo, hi = window
-    ratios = [hitting_density(space, pair, nbhd,
-                              folner.elements(family, n, budget)).ratio
-              for n in range(lo, hi + 1)]
+    ratios = hitting_ratios(space, pair, nbhd, family, range(lo, hi + 1), budget)
     return DensityProfile((lo, hi), ratios, max(ratios[len(ratios) // 2:]))
 
 
@@ -55,15 +60,20 @@ def ub_dens_estimate(space, pair, nbhd, shape, n, translates=None,
                      budget=folner.ATOM_BUDGET):
     """Upper Banach reading: best density over right translates F_n.g
     of one window shape.  Searching finitely many translates gives an
-    estimate from below of the Banach density."""
-    base = folner.elements(shape, n, budget)
+    estimate from below of the Banach density.  `argmax` is the first
+    translate reaching the best density, None when every density is 0."""
     if translates is None:
         translates = [IntShift(t) for t in range(-5 * n, 5 * n + 1)]
+    translates = list(translates)
+    ratios = pushforward.translate_means(space, pair, shape, n, translates,
+                                         _hit(space, nbhd), budget)
     best = (Fraction(0), None)
-    for t in translates:
-        window = [multiply(f, t) for f in base]
-        r = hitting_density(space, pair, nbhd, window).ratio
+    for t, r in zip(translates, ratios):
         if r > best[0]:
             best = (r, t)
     return {"sup": best[0], "argmax": best[1], "shape_n": n,
-            "translates": len(list(translates))}
+            "translates": len(translates)}
+
+
+def _hit(space, nbhd):
+    return lambda image: contains(space, nbhd, image)

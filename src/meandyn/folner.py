@@ -99,29 +99,45 @@ def cardinality(family, n, budget=ATOM_BUDGET):
     return size
 
 
+def resolve(family, n):
+    """The plain family and index whose set is the n-th set of `family`:
+    interleaved and subsequence families unwrap to one of the four
+    window families.  Call `cardinality` first to check the index."""
+    while True:
+        if isinstance(family, Interleaved):
+            family, n = _split_interleaved(family, n)
+        elif isinstance(family, Subsequence):
+            family, n = family.base, family.indices[n - 1]
+        else:
+            return family, n
+
+
+def shift_window(family, n):
+    """The shifts (lo, hi) that make up the n-th set of an integer
+    window family, or None for a family that is not one."""
+    if isinstance(family, ZInitial):
+        return 0, n - 1
+    if isinstance(family, ZCentered):
+        return -n, n
+    if isinstance(family, ZShifted):
+        return n, 2 * n
+    return None
+
+
 def elements(family, n, budget=ATOM_BUDGET):
     """The n-th set, in a fixed deterministic order."""
     cardinality(family, n, budget)
-    if isinstance(family, ZInitial):
-        return [IntShift(a) for a in range(n)]
-    if isinstance(family, ZCentered):
-        return [IntShift(a) for a in range(-n, n + 1)]
-    if isinstance(family, ZShifted):
-        return [IntShift(a) for a in range(n, 2 * n + 1)]
-    if isinstance(family, LampBox):
-        sites = list(range(n, 2 * n + 1))
-        out = []
-        for a in sites:
-            for mask in range(2 ** len(sites)):
-                lamps = tuple(s for i, s in enumerate(sites) if mask >> i & 1)
-                out.append(Lamp(a, lamps))
-        return out
-    if isinstance(family, Interleaved):
-        base, k = _split_interleaved(family, n)
-        return elements(base, k, budget)
-    if isinstance(family, Subsequence):
-        return elements(family.base, family.indices[n - 1], budget)
-    raise TypeError("not a Folner family: %r" % (family,))
+    family, n = resolve(family, n)
+    window = shift_window(family, n)
+    if window is not None:
+        return [IntShift(a) for a in range(window[0], window[1] + 1)]
+    sites = list(range(n, 2 * n + 1))
+    out = []
+    for a in sites:
+        for mask in range(2 ** len(sites)):
+            lamps = tuple(s for i, s in enumerate(sites) if mask >> i & 1)
+            out.append(Lamp(a, lamps))
+    return out
 
 
 def defect(family, n, K, budget=ATOM_BUDGET):

@@ -21,7 +21,7 @@ from .folner import LampBox, ZCentered, ZInitial, ZShifted
 from .groups import INTEGERS, LAMPLIGHTER, IntShift, Lamp
 from .relations import FiniteModel, icer_hull
 from .spaces import (M_INF, O_INF, P_INF, SHIFT, TRANSLATE, Point, PointSet,
-                     ProductOf, Tail, metric, one_point_space, two_point_space)
+                     ProductOf, Tail, one_point_space, two_point_space)
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,6 @@ def _rows_literature_dock(profile):
     rows = []
     x = Point(5, 0)
     u = ProductOf(PointSet(frozenset([x])), PointSet(frozenset([x])))
-    import itertools
     from . import density as dens
     ok = True
     for n in (10, profile.z_hi // 2, profile.z_hi):

@@ -33,17 +33,6 @@ class Lamp:
         object.__setattr__(self, "lamps", lamps)
 
 
-GroupElement = (IntShift, Lamp)
-
-
-def group_of(g):
-    if isinstance(g, IntShift):
-        return INTEGERS
-    if isinstance(g, Lamp):
-        return LAMPLIGHTER
-    raise TypeError("not a group element: %r" % (g,))
-
-
 def identity(group):
     if group == INTEGERS:
         return IntShift(0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import folner, spaces
-from .groups import identity
+from .pushforward import images
 from .spaces import act, canonical, component, embed, metric, sort_key
 
 
@@ -61,9 +61,8 @@ def dirac(space, p):
 
 def empirical(space, start, family, n, budget=folner.ATOM_BUDGET):
     """Push the point mass at `start` along the n-th Folner set."""
-    els = folner.elements(family, n, budget)
-    counts = Counter(_canonical_atom(space, act(space, g, start)) for g in els)
-    total = len(els)
+    counts = images(space, start, family, n, budget=budget)
+    total = sum(counts.values())
     return measure(space, [(p, Fraction(c, total)) for p, c in counts.items()])
 
 
@@ -85,32 +84,7 @@ def combine(parts):
 
 # ------------------------------------------------------------ Wasserstein-1
 
-MERGE_RADIUS = Fraction(1, 10 ** 9)
-MAX_ATOMS = 4000
-
-
-def _coarsen(space, m):
-    if len(m.atoms) <= MAX_ATOMS:
-        return m
-    out = []
-    last_key = None
-    for p, w in m.atoms:  # atoms are sorted; greedily merge near-coincident ones
-        k = sort_key(space, p)
-        if out and _key_close(last_key, k):
-            out[-1] = (out[-1][0], out[-1][1] + w)
-        else:
-            out.append((p, w))
-            last_key = k
-    return measure(space, out)
-
-
-def _key_close(k1, k2):
-    def flat(k):
-        return k if isinstance(k[0], tuple) else (k,)
-    for a, b in zip(flat(k1), flat(k2)):
-        if a[0] != b[0] or abs(a[1] - b[1]) > MERGE_RADIUS:
-            return False
-    return True
+MAX_ATOMS = 4000  # w1 raises BudgetError above this; atoms are never merged
 
 
 def _line_positions(space, points):
@@ -147,10 +121,9 @@ def _verified_chain(space, points):
     pos = [Fraction(0)]
     for i in range(1, len(points)):
         pos.append(pos[-1] + metric(space, points[i - 1], points[i]))
-    fpos = [float(t) for t in pos]
     for i in range(len(points)):
         for j in range(i + 2, len(points)):
-            if abs(float(metric(space, points[i], points[j])) - (fpos[j] - fpos[i])) > 1e-9:
+            if metric(space, points[i], points[j]) != pos[j] - pos[i]:
                 return None
     return pos
 
@@ -160,7 +133,10 @@ def w1(mu, nu):
     if mu.space != nu.space:
         raise ValueError("measures live on different spaces")
     space = mu.space
-    mu, nu = _coarsen(space, mu), _coarsen(space, nu)
+    atoms = max(len(mu.atoms), len(nu.atoms))
+    if atoms > MAX_ATOMS:
+        raise folner.BudgetError("w1 of a measure with %d atoms exceeds %d"
+                                 % (atoms, MAX_ATOMS))
     if mu.atoms == nu.atoms:
         return Fraction(0)
     support = sorted({p for p, _ in mu.atoms} | {p for p, _ in nu.atoms},

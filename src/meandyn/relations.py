@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import density, folner, spaces
-from .groups import IntShift
 from .spaces import (Ball, PointSet, ProductOf, act, contains, metric,
                      render_point, truncate)
 
@@ -91,10 +90,9 @@ def detect_srjms_f(space, pair, family, witnesses, radii, ks, ns=None,
     pairs, dists, ok = _witness_schedule(space, witnesses, ks, min(radii))
     scores = {}
     for i, (n, wp) in enumerate(zip(ns, pairs)):
-        els = folner.elements(family, n, budget)
         for r in radii:
-            rec = density.hitting_density(space, wp, Ball(pair, r), els)
-            scores[(i, float(r))] = rec.ratio
+            scores[(i, float(r))] = density.hitting_ratios(
+                space, wp, Ball(pair, r), family, [n], budget)[0]
     return _positive("srjms_f", pair, scores, pairs, dists, ok,
                      {"family": repr(family), "ks": list(ks), "ns": list(ns),
                       "radii": [float(r) for r in radii]})
@@ -113,11 +111,8 @@ def detect_swsm_f(space, pair, family, witnesses, radii, ks, window,
     scores = {}
     for i, wp in enumerate(pairs):
         for r in radii:
-            best = max(density.hitting_density(
-                space, wp, Ball(pair, r),
-                folner.elements(family, n, budget)).ratio
-                for n in range(lo, hi + 1))
-            scores[(i, float(r))] = best
+            scores[(i, float(r))] = max(density.hitting_ratios(
+                space, wp, Ball(pair, r), family, range(lo, hi + 1), budget))
     return _positive("swsm_f", pair, scores, pairs, dists, ok,
                      {"family": repr(family), "ks": list(ks),
                       "window": list(window), "radii": [float(r) for r in radii]})
@@ -210,6 +205,9 @@ def _product_gap(space, nbhd, points):
 
 
 def detect_proximal(space, pair, elements, delta=Fraction(1, 100)):
+    elements = list(elements)
+    if not elements:
+        raise ValueError("detect_proximal needs a non-empty element list")
     best = None
     for g in elements:
         moved = act(space, g, pair)
@@ -219,7 +217,7 @@ def detect_proximal(space, pair, elements, delta=Fraction(1, 100)):
     verdict = POSITIVE if best[0] < delta else INCONCLUSIVE
     return Certificate("proximal", pair, verdict, None,
                        [{"min_distance": best[0], "argmin": best[1]}],
-                       {"delta": float(delta), "elements": len(list(elements))})
+                       {"delta": float(delta), "elements": len(elements)})
 
 
 def detect_qrp(space, pair, epsilons, elements, truncation=40):
@@ -229,7 +227,16 @@ def detect_qrp(space, pair, epsilons, elements, truncation=40):
     copies whose closed layout intervals keep a gap above every scale."""
     epsilons = sorted((Fraction(e) if not isinstance(e, Fraction) else e
                        for e in epsilons), reverse=True)
+    elements = list(elements)
     points = truncate(space, truncation)
+    orbits = {}
+
+    def orbit(y):
+        # each perturbed point is pushed along the elements once
+        if y not in orbits:
+            orbits[y] = [act(space, g, y) for g in elements]
+        return orbits[y]
+
     witnesses = []
     found_all = True
     for eps in epsilons:
@@ -238,8 +245,8 @@ def detect_qrp(space, pair, epsilons, elements, truncation=40):
         hit = None
         for y in near_x:
             for y2 in near_y:
-                for g in elements:
-                    d = metric(space, act(space, g, y), act(space, g, y2))
+                for g, gy, gy2 in zip(elements, orbit(y), orbit(y2)):
+                    d = metric(space, gy, gy2)
                     if d < eps:
                         hit = {"epsilon": float(eps), "pair": (y, y2),
                                "element": g, "distance": d}
@@ -265,7 +272,7 @@ def detect_qrp(space, pair, epsilons, elements, truncation=40):
     return Certificate("qrp", pair, verdict, None, witnesses,
                        {"epsilons": [float(e) for e in epsilons],
                         "truncation": truncation,
-                        "elements": len(list(elements))})
+                        "elements": len(elements)})
 
 
 def _copy_gap_blocks(space, witnesses, epsilons):

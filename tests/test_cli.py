@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run(*args):
     return subprocess.run([sys.executable, "-m", "meandyn.cli", *args],
@@ -87,3 +89,38 @@ def test_reproduce_single_system_table():
     r = run("reproduce", "--system", "literature-dock")
     assert r.returncode == 0
     assert r.stdout.strip().endswith("overall: MATCH")
+
+
+AVG = ["avg", "--system", "lamplighter-z", "--x", "up_0", "--y", "up_7",
+       "--family", "z-shifted", "--window", "1", "5"]
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    from meandyn import averaging, cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(averaging, "besicovitch_profile", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(AVG)
+
+
+def test_bad_user_input_is_a_usage_error(capsys):
+    from meandyn import cli
+    bad_point = list(AVG)
+    bad_point[AVG.index("up_0")] = "up_x"
+    assert cli.main(bad_point) == 2
+    assert "cannot read 'up_x'" in capsys.readouterr().err
+    unknown = list(AVG)
+    unknown[AVG.index("lamplighter-z")] = "no-such-system"
+    assert cli.main(unknown) == 2
+    box_on_z = list(AVG)
+    box_on_z[AVG.index("z-shifted")] = "lamp-box"
+    assert cli.main(box_on_z) == 2
+    assert cli.main(["folner", "--family", "lamp-box", "--n", "2",
+                     "--defect", "s^1 t{3,2}"]) == 2
+    assert cli.main(AVG[:-2] + ["5", "1"]) == 2
+    with pytest.raises(SystemExit) as exc:      # rejected by argparse
+        cli.main(AVG[:-2] + ["0", "5"])
+    assert exc.value.code == 2

@@ -74,3 +74,14 @@ def test_ub_default_translate_range():
     est = ub_dens_estimate(TWO_POINT, pair, u, ZInitial(), 10)
     assert est["sup"] == 1
     assert est["translates"] == 101
+
+
+def test_ub_accepts_a_generator():
+    pair = (Point(-3, 1), TP_MINF)
+    u = Ball((TP_PINF, TP_MINF), Fraction(1, 5))
+    translates = [IntShift(t) for t in range(-50, 51)]
+    est = ub_dens_estimate(TWO_POINT, pair, u, ZInitial(), 10,
+                           (t for t in translates))
+    assert est["translates"] == 101
+    assert est == ub_dens_estimate(TWO_POINT, pair, u, ZInitial(), 10,
+                                   translates)

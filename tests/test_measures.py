@@ -81,6 +81,33 @@ def test_w1_routes_agree():
     assert measures._w1_flow(THREE_GLUED, pair1, pair2) == w1(pair1, pair2)
 
 
+def test_w1_non_isometric_support_takes_the_flow_route(monkeypatch):
+    # copy separation makes d(down 0, up 0) = 1, shorter than the path
+    # through up 1, so the support does not sit on a line
+    mu = measure(LAMPLIGHTER, [(down(0), Fraction(1, 2)),
+                               (up(0), Fraction(1, 2))])
+    nu = measure(LAMPLIGHTER, [(up(1), Fraction(2, 3)),
+                               (down(3), Fraction(1, 3))])
+    support = sorted({p for p, _ in mu.atoms + nu.atoms},
+                     key=lambda p: spaces.sort_key(LAMPLIGHTER, p))
+    assert measures._line_positions(LAMPLIGHTER, support) is None
+    routes = []
+    flow = measures._w1_flow
+    monkeypatch.setattr(measures, "_w1_flow",
+                        lambda *a: routes.append("flow") or flow(*a))
+    assert w1(mu, nu) == flow(LAMPLIGHTER, mu, nu)
+    assert routes == ["flow"]
+
+
+def test_w1_over_the_atom_budget_raises():
+    n = measures.MAX_ATOMS + 1
+    big = measure(TWO_POINT, [(Point(s, 1), Fraction(1, n)) for s in range(n)])
+    with pytest.raises(folner.BudgetError):
+        w1(big, dirac(TWO_POINT, TP_PINF))
+    with pytest.raises(folner.BudgetError):
+        w1(dirac(TWO_POINT, TP_PINF), big)
+
+
 def test_w1_between_copies_uses_separation():
     a = dirac(LAMPLIGHTER, up(0))
     b = dirac(LAMPLIGHTER, down(0))

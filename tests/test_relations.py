@@ -109,6 +109,29 @@ def test_proximal_detector():
     assert far.witnesses[0]["min_distance"] == 1
 
 
+def test_proximal_accepts_a_generator():
+    els = [IntShift(t) for t in range(-150, 151)]
+    pair = (Point(0, 1), Point(0, 3))
+    cert = detect_proximal(THREE_GLUED, pair, iter(els))
+    assert cert.params["elements"] == 301
+    assert cert.to_json() == detect_proximal(THREE_GLUED, pair, els).to_json()
+
+
+def test_proximal_rejects_empty_elements():
+    with pytest.raises(ValueError, match="element list"):
+        detect_proximal(TWO_POINT, (TP_PINF, TP_MINF), [])
+
+
+def test_qrp_scans_a_whole_generator():
+    els = [IntShift(t) for t in range(-480, 481, 5)]
+    eps = (Fraction(1, 4), Fraction(1, 10))
+    cert = detect_qrp(TWO_POINT, (TP_PINF, TP_MINF), eps, iter(els))
+    assert cert.params["elements"] == 193
+    want = detect_qrp(TWO_POINT, (TP_PINF, TP_MINF), eps, els)
+    assert cert.verdict == POSITIVE
+    assert cert.to_json() == want.to_json()
+
+
 def test_qrp_three_verdicts():
     els = [IntShift(t) for t in range(-200, 201, 5)]
     pos = detect_qrp(TWO_POINT, (TP_PINF, TP_MINF),
