@@ -84,14 +84,17 @@ def mec_probe(space, family, limit, approach, epsilon=Fraction(1, 100),
     violation witness.
     """
     ests = []
+    d_lim = []  # exact distances to the limit; ests carries them as floats
     witness = None
     for k, item in enumerate(approach):
-        pair = item if isinstance(item, tuple) else (item, limit)
-        d_lim = max(float(metric(space, pair[0], limit)),
-                    float(metric(space, pair[1], limit)))
-        prof = besicovitch_profile(space, pair[0], pair[1], family, window, budget)
-        ests.append((k, d_lim, prof.tail_sup))
-    if ests and (ests[-1][1] > 0.5 or ests[-1][1] > ests[0][1] + 1e-12):
+        x, y = item if isinstance(item, tuple) else (item, limit)
+        d_lim.append(max(metric(space, x, limit), metric(space, y, limit)))
+        prof = besicovitch_profile(space, x, y, family, window, budget)
+        ests.append((k, float(d_lim[-1]), prof.tail_sup))
+    if not ests:
+        raise ValueError("empty approach: mec_probe needs points converging "
+                         "to the limit point")
+    if d_lim[-1] > Fraction(1, 2) or d_lim[-1] > d_lim[0]:
         raise ValueError("approach does not converge to the limit point")
     tail = ests[len(ests) // 2:]
     for k, _, est in tail:

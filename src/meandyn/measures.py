@@ -5,11 +5,16 @@ and an exact Wasserstein-1 distance.
 The transport solver runs two routes: a closed-form sweep when the
 joint support is isometric to a subset of the line (always the case
 inside one connected component, and for pair measures whose two legs
-move monotonically together), and a small exact successive-shortest-
-path flow otherwise.  The two routes agree on their overlap, which the
-test suite checks.
+move monotonically together), and a min-cost flow otherwise.  The flow
+route scales the weights and the cost matrix to integers by the lcm of
+their denominators and runs successive shortest paths, Dijkstra on
+reduced costs with node potentials, in integer arithmetic; the answer
+is the integer total over the product of the two scales, so it stays
+exact.  The two routes agree on their overlap, which the test suite
+checks.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +78,8 @@ def pushforward(space, g, m):
 def combine(parts):
     """Convex combination of (coefficient, measure) pairs."""
     parts = list(parts)
+    if not parts:
+        raise ValueError("combine needs at least one (coefficient, measure) part")
     space = parts[0][1].space
     pts = []
     for c, m in parts:
@@ -166,98 +173,86 @@ def _w1_line(pos, mu, nu):
 
 
 def _w1_flow(space, mu, nu):
-    """Successive shortest augmenting paths, all arithmetic in Fractions.
-    Augmenting along cheapest residual paths keeps every intermediate
-    flow optimal for its value, so the final flow is an optimum."""
-    sources = list(mu.atoms)
-    sinks = list(nu.atoms)
-    m, n = len(sources), len(sinks)
-    cost = [[metric(space, p, q) for q, _ in sinks] for p, _ in sources]
-    supply = [w for _, w in sources]
-    demand = [w for _, w in sinks]
-    flow = [[Fraction(0)] * n for _ in range(m)]
+    """Min-cost flow on the bipartite transport network, exact.
+
+    Weights and costs are scaled to integers by the lcm of their
+    denominators, so the answer is total / (weight_scale * cost_scale).
+    Successive shortest paths: each round runs Dijkstra on reduced
+    costs from the sources with supply left, stops at the first sink
+    with demand left, raises every potential by min(distance, that
+    sink's distance) and pushes the bottleneck amount along the path.
+    Reduced costs stay non-negative and every flow-carrying arc stays
+    tight, so each intermediate flow is optimal for its value."""
+    weight_scale = math.lcm(*(w.denominator for _, w in mu.atoms + nu.atoms))
+    costs = [[metric(space, p, q) for q, _ in nu.atoms] for p, _ in mu.atoms]
+    cost_scale = math.lcm(*(c.denominator for row in costs for c in row))
+    cost = [[c.numerator * (cost_scale // c.denominator) for c in row]
+            for row in costs]
+    supply = [w.numerator * (weight_scale // w.denominator) for _, w in mu.atoms]
+    demand = [w.numerator * (weight_scale // w.denominator) for _, w in nu.atoms]
+    m, n = len(supply), len(demand)
+    flow = [[0] * n for _ in range(m)]
+    pot = [0] * (m + n)  # node i < m is source i, node m + j is sink j
     remaining = sum(supply)
     guard = 4 * (m + n) * (m + n)
-    while remaining > 0:
+    while remaining:
         guard -= 1
         if guard < 0:
             raise AssertionError("transport solver failed to terminate")
-        path = _cheapest_augmenting_path(cost, flow, supply, demand)
-        amount = min(remaining,
-                     supply[path[0][1]],
-                     demand[path[-1][1]])
-        # path alternates source, sink, source, ...; even hops push flow,
-        # odd hops cancel it
-        hops = [(path[k][1], path[k + 1][1]) for k in range(0, len(path) - 1)]
-        for k, (a, b) in enumerate(hops):
-            if k % 2 == 1:  # sink a -> source b cancels flow[b][a]
-                amount = min(amount, flow[b][a])
-        for k, (a, b) in enumerate(hops):
-            if k % 2 == 0:
-                flow[a][b] += amount
-            else:
-                flow[b][a] -= amount
-        supply[path[0][1]] -= amount
-        demand[path[-1][1]] -= amount
+        # Dijkstra over the reached, unfinished nodes; a finished node's
+        # distance is at most the current one, so it is never reopened
+        dist = [0 if s else math.inf for s in supply] + [math.inf] * n
+        prev = [None] * (m + n)
+        frontier = {i: 0 for i in range(m) if supply[i]}
+        while True:
+            if not frontier:
+                raise AssertionError("no augmenting path in transport network")
+            u = min(frontier, key=frontier.get)
+            base = frontier.pop(u) + pot[u]
+            if u < m:
+                for j, c in enumerate(cost[u]):
+                    d = base + c - pot[m + j]
+                    if d < dist[m + j]:
+                        dist[m + j] = frontier[m + j] = d
+                        prev[m + j] = u
+            elif demand[u - m]:
+                break
+            else:  # backward arcs cancel flow into this sink
+                for i in range(m):
+                    if flow[i][u - m]:
+                        d = base - cost[i][u - m] - pot[i]
+                        if d < dist[i]:
+                            dist[i] = frontier[i] = d
+                            prev[i] = u
+        top = dist[u]
+        pot = [p + min(d, top) for p, d in zip(pot, dist)]
+        # walk back: sink <- source (forward arc) <- sink (backward arc) ...
+        sink = u - m
+        path = []
+        while True:
+            i = prev[u]
+            path.append((i, u - m))
+            if prev[i] is None:
+                break
+            u = prev[i]
+            path.append((i, u - m))
+        amount = min(supply[i], demand[sink],
+                     *(flow[a][b] for a, b in path[1::2]))
+        for k, (a, b) in enumerate(path):
+            flow[a][b] += -amount if k % 2 else amount
+        supply[i] -= amount
+        demand[sink] -= amount
         remaining -= amount
-    return sum(flow[i][j] * cost[i][j] for i in range(m) for j in range(n))
-
-
-def _cheapest_augmenting_path(cost, flow, supply, demand):
-    """Bellman-Ford over the residual bipartite graph.  Nodes are
-    ("src", i) and ("snk", j); forward arcs cost c_ij, backward arcs
-    (only where flow is positive) cost -c_ij.  Returns the cheapest
-    path from a source with supply to a sink with demand."""
-    m, n = len(cost), len(cost[0])
-    dist = {}
-    parent = {}
-    for i in range(m):
-        if supply[i] > 0:
-            dist[("src", i)] = Fraction(0)
-            parent[("src", i)] = None
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m):
-            di = dist.get(("src", i))
-            if di is None:
-                continue
-            for j in range(n):
-                d = di + cost[i][j]
-                key = ("snk", j)
-                if key not in dist or d < dist[key]:
-                    dist[key] = d
-                    parent[key] = ("src", i)
-                    changed = True
-        for j in range(n):
-            dj = dist.get(("snk", j))
-            if dj is None:
-                continue
-            for i in range(m):
-                if flow[i][j] <= 0:
-                    continue
-                d = dj - cost[i][j]
-                key = ("src", i)
-                if key not in dist or d < dist[key]:
-                    dist[key] = d
-                    parent[key] = ("snk", j)
-                    changed = True
-    best = min((j for j in range(n) if demand[j] > 0 and ("snk", j) in dist),
-               key=lambda j: dist[("snk", j)], default=None)
-    if best is None:
-        raise AssertionError("no augmenting path in transport network")
-    node = ("snk", best)
-    path = []
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    path.reverse()
-    return path
+    total = sum(f * c for frow, crow in zip(flow, cost) for f, c in zip(frow, crow))
+    return Fraction(total, weight_scale * cost_scale)
 
 
 # ----------------------------------------------------- limits and clustering
 
 def invariance_defect(space, m, generators):
+    generators = list(generators)
+    if not generators:
+        raise ValueError("invariance_defect needs at least one generator")
     return max(w1(pushforward(space, g, m), m) for g in generators)
 
 
@@ -291,19 +286,20 @@ class ClusterReport:
 def cluster_detect(measures, tol=1e-3, tail=5):
     """Trailing-stability test: the last measure is the candidate limit
     when all pairwise distances among the last `tail` entries fall
-    below `tol`.  Several interleaved limit points would keep the tail
+    below `tol`, decided on the exact distances.  Several interleaved limit points would keep the tail
     oscillating, so that case reports NONE."""
     ms = list(measures)
     if len(ms) < tail:
         raise ValueError("need at least %d measures" % tail)
     window = ms[-tail:]
+    exact_tol = Fraction(tol)
     gaps = []
     ok = True
     for i in range(len(window)):
         for j in range(i + 1, len(window)):
-            g = float(w1(window[i], window[j]))
-            gaps.append(g)
-            if g >= tol:
+            g = w1(window[i], window[j])
+            gaps.append(float(g))
+            if g >= exact_tol:
                 ok = False
     if ok:
         return ClusterReport("CANDIDATE", ms[-1], gaps, tol, tail)

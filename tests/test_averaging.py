@@ -94,6 +94,22 @@ def test_mec_probe_rejects_divergent_approach():
                   window=(1, 20))
 
 
+def test_mec_probe_compares_distances_exactly():
+    # the last point is farther from the limit than the first, by less
+    # than 1e-12
+    far, near = up(10 ** 12), up(10 ** 13)
+    gap = metric(LAMPLIGHTER_Z, far, UP_INF) - metric(LAMPLIGHTER_Z, near, UP_INF)
+    assert 0 < gap < Fraction(1, 10 ** 12)
+    with pytest.raises(ValueError, match="converge"):
+        mec_probe(LAMPLIGHTER_Z, ZShifted(), UP_INF, [near, far],
+                  window=(1, 4))
+
+
+def test_mec_probe_rejects_an_empty_approach():
+    with pytest.raises(ValueError, match="empty approach"):
+        mec_probe(LAMPLIGHTER_Z, ZShifted(), UP_INF, [], window=(1, 4))
+
+
 def test_default_window_keeps_lamp_box_in_budget():
     lo, hi = averaging.default_window(LampBox())
     assert folner.cardinality(LampBox(), hi) <= folner.ATOM_BUDGET

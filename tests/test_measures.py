@@ -1,13 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meandyn import folner, measures, spaces
 from meandyn.folner import LampBox, ZCentered, ZInitial, ZShifted
-from meandyn.gallery import (LAMPLIGHTER, MINF1, MINF2, PINF1, PINF2,
-                             THREE_GLUED, TP_MINF, TP_PINF, TWO_POINT, down,
-                             lamplighter_corner_measure, up)
+from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, MINF1, MINF2, PINF1,
+                             PINF2, THREE_GLUED, TP_MINF, TP_PINF, TWO_POINT,
+                             down, lamplighter_corner_measure, up)
 from meandyn.groups import IntShift, Lamp
 from meandyn.measures import (cluster_detect, combine, dirac, empirical,
                               heavy_atoms, invariance_defect, measure,
@@ -108,6 +110,128 @@ def test_w1_over_the_atom_budget_raises():
         w1(dirac(TWO_POINT, TP_PINF), big)
 
 
+def _reference_flow(space, mu, nu):
+    """Test-only reference: successive shortest augmenting paths found
+    by Bellman-Ford over the residual network, all arithmetic in
+    Fractions.  This was the flow route before it moved to scaled
+    integers and Dijkstra with potentials."""
+    sources, sinks = list(mu.atoms), list(nu.atoms)
+    m, n = len(sources), len(sinks)
+    cost = [[metric(space, p, q) for q, _ in sinks] for p, _ in sources]
+    supply = [w for _, w in sources]
+    demand = [w for _, w in sinks]
+    flow = [[Fraction(0)] * n for _ in range(m)]
+    remaining = sum(supply)
+    while remaining > 0:
+        path = _reference_cheapest_path(cost, flow, supply, demand)
+        amount = min(remaining, supply[path[0][1]], demand[path[-1][1]])
+        # path alternates source, sink, source, ...; even hops push
+        # flow, odd hops cancel it
+        hops = [(path[k][1], path[k + 1][1]) for k in range(len(path) - 1)]
+        for k, (a, b) in enumerate(hops):
+            if k % 2 == 1:
+                amount = min(amount, flow[b][a])
+        for k, (a, b) in enumerate(hops):
+            if k % 2 == 0:
+                flow[a][b] += amount
+            else:
+                flow[b][a] -= amount
+        supply[path[0][1]] -= amount
+        demand[path[-1][1]] -= amount
+        remaining -= amount
+    return sum(flow[i][j] * cost[i][j] for i in range(m) for j in range(n))
+
+
+def _reference_cheapest_path(cost, flow, supply, demand):
+    m, n = len(cost), len(cost[0])
+    dist, parent = {}, {}
+    for i in range(m):
+        if supply[i] > 0:
+            dist[("src", i)] = Fraction(0)
+            parent[("src", i)] = None
+    changed = True
+    while changed:
+        changed = False
+        for i in range(m):
+            if ("src", i) not in dist:
+                continue
+            for j in range(n):
+                d = dist[("src", i)] + cost[i][j]
+                if ("snk", j) not in dist or d < dist[("snk", j)]:
+                    dist[("snk", j)], parent[("snk", j)] = d, ("src", i)
+                    changed = True
+        for j in range(n):
+            if ("snk", j) not in dist:
+                continue
+            for i in range(m):
+                if flow[i][j] <= 0:
+                    continue
+                d = dist[("snk", j)] - cost[i][j]
+                if ("src", i) not in dist or d < dist[("src", i)]:
+                    dist[("src", i)], parent[("src", i)] = d, ("snk", j)
+                    changed = True
+    best = min((j for j in range(n) if demand[j] > 0 and ("snk", j) in dist),
+               key=lambda j: dist[("snk", j)])
+    node, path = ("snk", best), []
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    return path[::-1]
+
+
+def _points(space):
+    finite = st.builds(Point, st.integers(-30, 30), st.sampled_from(space.copies))
+    return st.one_of(finite, st.sampled_from(space.limit_points()))
+
+
+@st.composite
+def measure_pairs(draw):
+    """Two measures of at most 10 atoms each: pair measures on
+    three-glued or the lamplighter, or point measures on lamplighter-z."""
+    space = draw(st.sampled_from((THREE_GLUED, LAMPLIGHTER, LAMPLIGHTER_Z)))
+    atom = (_points(space) if space is LAMPLIGHTER_Z
+            else st.tuples(_points(space), _points(space)))
+
+    def one():
+        support = draw(st.lists(atom, min_size=1, max_size=10))
+        weights = draw(st.lists(st.integers(1, 20), min_size=len(support),
+                                max_size=len(support)))
+        return measure(space, [(p, Fraction(w, sum(weights)))
+                               for p, w in zip(support, weights)])
+
+    return space, one(), one()
+
+
+@settings(deadline=None, max_examples=300)
+@given(measure_pairs())
+def test_w1_flow_matches_the_reference_and_the_line_route(case):
+    space, mu, nu = case
+    d = measures._w1_flow(space, mu, nu)
+    assert d == _reference_flow(space, mu, nu)
+    assert d == measures._w1_flow(space, nu, mu)
+    support = sorted({p for p, _ in mu.atoms + nu.atoms},
+                     key=lambda p: spaces.sort_key(space, p))
+    pos = measures._line_positions(space, support)
+    if pos is not None:
+        assert d == measures._w1_line(dict(zip(support, pos)), mu, nu)
+
+
+def test_w1_flow_is_exact_beyond_machine_words():
+    # coordinates near +-300 give the pair costs denominators whose lcm
+    # exceeds 2**64
+    mu = measure(THREE_GLUED, [((Point(290 + k, 1 + k % 3),
+                                 Point(-300 + 2 * k, 3 - k % 3)),
+                                Fraction(k + 1, 55)) for k in range(10)])
+    nu = measure(THREE_GLUED, [((Point(-295 + 3 * k, 2), Point(301 - k, 1)),
+                                Fraction(1, 10)) for k in range(10)])
+    cost_scale = math.lcm(*(metric(THREE_GLUED, p, q).denominator
+                            for p, _ in mu.atoms for q, _ in nu.atoms))
+    assert cost_scale > 2 ** 64
+    d = measures._w1_flow(THREE_GLUED, mu, nu)
+    assert d == _reference_flow(THREE_GLUED, mu, nu)
+    assert d == measures._w1_flow(THREE_GLUED, nu, mu)
+
+
 def test_w1_between_copies_uses_separation():
     a = dirac(LAMPLIGHTER, up(0))
     b = dirac(LAMPLIGHTER, down(0))
@@ -163,6 +287,18 @@ def test_cluster_candidate_and_none():
         cluster_detect(ms[:3])
 
 
+def test_cluster_decides_on_the_exact_gap():
+    # W1 is exactly 1/1000, below the float 1e-3 (a little above 1/1000)
+    # although float(1/1000) == 1e-3
+    a = dirac(TWO_POINT, TP_PINF)
+    b = measure(TWO_POINT, [(TP_PINF, Fraction(999, 1000)),
+                            (TP_MINF, Fraction(1, 1000))])
+    assert w1(a, b) == Fraction(1, 1000) < Fraction(1e-3)
+    rep = cluster_detect([a, a, a, a, b])
+    assert rep.verdict == "CANDIDATE" and rep.candidate is b
+    assert max(rep.gaps) == 1e-3 and rep.tol == 1e-3
+
+
 def test_support_union_estimate():
     est = support_union_estimate(
         THREE_GLUED,
@@ -178,3 +314,13 @@ def test_mixed_space_rejected():
         w1(a, b)
     with pytest.raises(ValueError):
         combine([(Fraction(1, 2), a), (Fraction(1, 2), b)])
+
+
+def test_empty_inputs_are_named():
+    m = dirac(TWO_POINT, TP_PINF)
+    with pytest.raises(ValueError, match="combine"):
+        combine([])
+    with pytest.raises(ValueError, match="generator"):
+        invariance_defect(TWO_POINT, m, [])
+    with pytest.raises(ValueError, match="generator"):
+        invariance_defect(TWO_POINT, m, iter([]))
