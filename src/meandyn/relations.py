@@ -8,6 +8,12 @@ finest tested radius, each clearing a common positive density c.  A
 NEGATIVE certificate carries a finitely checked structural obstruction
 (a forward-closed off-diagonal target set, or a copy-separation bound).
 Everything else is INCONCLUSIVE.
+
+The regional-proximality probe scans perturbed pairs in a fixed order,
+so its witness is the first hit; a scale without one is ruled out by an
+exact sorted nearest-distance check per element
+(`spaces.nearest_distance`), which also gives the forward-closure
+certificate its margin.
 """
 
 from dataclasses import dataclass, field
@@ -56,15 +62,19 @@ class Certificate:
 DENSITY_FLOOR = Fraction(1, 50)
 
 
-def _witness_schedule(space, witnesses, ks, min_radius):
+def _witness_schedule(space, witnesses, ks, radii):
     """Materialize witness pairs and enforce the diagonality contract:
     distances strictly decreasing (ties allowed only at zero, for
     witnesses sitting exactly on the diagonal) and ending below the
     finest radius."""
+    if not radii:
+        raise ValueError("radii is empty: the schedule must end below a radius")
     pairs = [witnesses(k) for k in ks]
+    if not pairs:
+        raise ValueError("ks is empty: the schedule needs a witness index")
     dists = [metric(space, p[0], p[1]) for p in pairs]
     ok = (all(a > b or a == b == 0 for a, b in zip(dists, dists[1:]))
-          and dists[-1] < min_radius)
+          and dists[-1] < min(radii))
     return pairs, dists, ok
 
 
@@ -85,9 +95,10 @@ def detect_srjms_f(space, pair, family, witnesses, radii, ks, ns=None,
     of its hitting set inside a single matched set F_{n_k} (by default
     n_k = k)."""
     radii = sorted(radii, reverse=True)
+    ks = list(ks)
     if ns is None:
         ns = list(ks)
-    pairs, dists, ok = _witness_schedule(space, witnesses, ks, min(radii))
+    pairs, dists, ok = _witness_schedule(space, witnesses, ks, radii)
     scores = {}
     for i, (n, wp) in enumerate(zip(ns, pairs)):
         for r in radii:
@@ -106,7 +117,8 @@ def detect_swsm_f(space, pair, family, witnesses, radii, ks, window,
     if pair[0] == pair[1]:
         raise ValueError("witness-separation sensitivity is off-diagonal only")
     radii = sorted(radii, reverse=True)
-    pairs, dists, ok = _witness_schedule(space, witnesses, ks, min(radii))
+    ks = list(ks)
+    pairs, dists, ok = _witness_schedule(space, witnesses, ks, radii)
     lo, hi = window
     scores = {}
     for i, wp in enumerate(pairs):
@@ -123,7 +135,8 @@ def detect_qrms_f(space, pair, family, witnesses, radii, ks, window,
     """Rigid-mean sensitivity along the family: witness k is scored by
     the tail of its upper-density profile over the window."""
     radii = sorted(radii, reverse=True)
-    pairs, dists, ok = _witness_schedule(space, witnesses, ks, min(radii))
+    ks = list(ks)
+    pairs, dists, ok = _witness_schedule(space, witnesses, ks, radii)
     scores = {}
     for i, wp in enumerate(pairs):
         for r in radii:
@@ -140,7 +153,8 @@ def detect_qrms_banach(space, pair, shape, witnesses, radii, ks, n,
     """Banach version: witness k is scored by the best density over
     right translates of the window shape."""
     radii = sorted(radii, reverse=True)
-    pairs, dists, ok = _witness_schedule(space, witnesses, ks, min(radii))
+    ks = list(ks)
+    pairs, dists, ok = _witness_schedule(space, witnesses, ks, radii)
     scores = {}
     for i, wp in enumerate(pairs):
         for r in radii:
@@ -201,7 +215,7 @@ def _product_gap(space, nbhd, points):
     right = [p for p in points if contains(space, nbhd.right, p)]
     if not left or not right:
         return Fraction(0)
-    return min(metric(space, p, q) for p in left for q in right)
+    return spaces.nearest_distance(space, left, right)
 
 
 def detect_proximal(space, pair, elements, delta=Fraction(1, 100)):
@@ -227,6 +241,8 @@ def detect_qrp(space, pair, epsilons, elements, truncation=40):
     copies whose closed layout intervals keep a gap above every scale."""
     epsilons = sorted((Fraction(e) if not isinstance(e, Fraction) else e
                        for e in epsilons), reverse=True)
+    if not epsilons:
+        raise ValueError("epsilons is empty: detect_qrp needs at least one scale")
     elements = list(elements)
     points = truncate(space, truncation)
     orbits = {}
@@ -242,19 +258,7 @@ def detect_qrp(space, pair, epsilons, elements, truncation=40):
     for eps in epsilons:
         near_x = [y for y in points if metric(space, pair[0], y) < eps]
         near_y = [y for y in points if metric(space, pair[1], y) < eps]
-        hit = None
-        for y in near_x:
-            for y2 in near_y:
-                for g, gy, gy2 in zip(elements, orbit(y), orbit(y2)):
-                    d = metric(space, gy, gy2)
-                    if d < eps:
-                        hit = {"epsilon": float(eps), "pair": (y, y2),
-                               "element": g, "distance": d}
-                        break
-                if hit:
-                    break
-            if hit:
-                break
+        hit = _first_hit(space, eps, near_x, near_y, elements, orbit)
         if hit:
             witnesses.append(hit)
         else:
@@ -273,6 +277,38 @@ def detect_qrp(space, pair, epsilons, elements, truncation=40):
                        {"epsilons": [float(e) for e in epsilons],
                         "truncation": truncation,
                         "elements": len(elements)})
+
+
+def _first_hit(space, eps, near_x, near_y, elements, orbit):
+    """Witness of the first (y, y2, g) in scan order with
+    d(g.y, g.y2) < eps, or None.
+
+    Once the ordered scan has spent as many distance evaluations as one
+    sorted nearest-distance check per element costs, that check runs
+    once; when no element brings near_x within eps of near_y, the scale
+    fails there instead of after |near_x|·|near_y|·|elements| calls."""
+    # both are multiples of len(elements), so spent meets check_at once
+    check_at = len(elements) * (len(near_x) + len(near_y))
+    spent = 0
+    for y in near_x:
+        for y2 in near_y:
+            if spent == check_at and not _some_element_hits(
+                    space, eps, near_x, near_y, orbit):
+                return None
+            for g, gy, gy2 in zip(elements, orbit(y), orbit(y2)):
+                d = metric(space, gy, gy2)
+                if d < eps:
+                    return {"epsilon": float(eps), "pair": (y, y2),
+                            "element": g, "distance": d}
+            spent += len(elements)
+    return None
+
+
+def _some_element_hits(space, eps, near_x, near_y, orbit):
+    # orbit(y)[i] is y moved by the i-th element
+    moved = zip(zip(*map(orbit, near_x)), zip(*map(orbit, near_y)))
+    return any(spaces.nearest_distance(space, gx, gy) < eps
+               for gx, gy in moved)
 
 
 def _copy_gap_blocks(space, witnesses, epsilons):

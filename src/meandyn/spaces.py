@@ -111,6 +111,11 @@ def embed(space, p):
     """Line coordinate of a point; exact rational."""
     p = canonical(space, p)
     _check_copy(space, p)
+    return _line_coordinate(space, p)
+
+
+def _line_coordinate(space, p):
+    # p is canonical and its copy is in the space
     if space.kind == ONE_POINT:
         local = Fraction(0) if p.coord == O_INF else _phi(p.coord)
         return local + space.copies.index(p.copy)
@@ -169,6 +174,40 @@ def _metric1(space, p, q):
     if cp == cq:
         return abs(embed(space, p) - embed(space, q))
     return Fraction(abs(space.copies.index(p.copy) - space.copies.index(q.copy)))
+
+
+def nearest_distance(space, left, right):
+    """Exact min of metric(space, p, q) over points p in left, q in right.
+
+    Inside one connected piece the metric is distance along the line,
+    so the smallest gap there is between neighbours from opposite sides
+    in the piece's sorted line coordinates; across pieces it is the copy
+    separation, which depends only on the (piece, copy index) pairs
+    present.  O(k log k) for k points instead of |left|·|right| metric
+    calls."""
+    pieces = _components(space) if space.kind == TWO_POINT else None
+    lines = {}             # component -> [(float, line coordinate, side)]
+    tags = (set(), set())  # per side: (component, copy index)
+    for side, points in enumerate((left, right)):
+        for p in points:
+            p = canonical(space, p)
+            _check_copy(space, p)
+            i = space.copies.index(p.copy)
+            c = i if pieces is None else pieces[p.copy]
+            x = _line_coordinate(space, p)
+            # the float leads the sort key only to spare Fraction
+            # comparisons; rounding is monotone, so the order is exact
+            lines.setdefault(c, []).append((float(x), x, side))
+            tags[side].add((c, i))
+    if not tags[0] or not tags[1]:
+        raise ValueError("nearest_distance needs points on both sides")
+    gaps = [Fraction(abs(i - j))
+            for c, i in tags[0] for d, j in tags[1] if c != d]
+    for line in lines.values():
+        line.sort()
+        gaps += [b - a for (_, a, s), (_, b, t) in zip(line, line[1:])
+                 if s != t]
+    return min(gaps)
 
 
 def act(space, g, p):

@@ -2,8 +2,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from meandyn import relations
+from meandyn import relations, spaces
 from meandyn.folner import ZCentered, ZInitial
 from meandyn.gallery import (LAMPLIGHTER_Z, LITERATURE_DOCK, MINF1, MINF2,
                              PINF1, PINF2, THREE_GLUED, THREE_GLUED_MODEL,
@@ -12,12 +13,13 @@ from meandyn.gallery import (LAMPLIGHTER_Z, LITERATURE_DOCK, MINF1, MINF2,
                              three_glued_expected_hull,
                              two_point_expected_hull, up)
 from meandyn.groups import IntShift
-from meandyn.relations import (INCONCLUSIVE, NEGATIVE, POSITIVE, FiniteModel,
-                               detect_proximal, detect_qrms_banach,
-                               detect_qrms_f, detect_qrp, detect_srjms_f,
-                               detect_swsm_f, forward_closure_negative,
-                               icer_hull)
-from meandyn.spaces import Point, PointSet, ProductOf, Tail
+from meandyn.relations import (INCONCLUSIVE, NEGATIVE, POSITIVE, Certificate,
+                               FiniteModel, detect_proximal,
+                               detect_qrms_banach, detect_qrms_f, detect_qrp,
+                               detect_srjms_f, detect_swsm_f,
+                               forward_closure_negative, icer_hull)
+from meandyn.spaces import (M_INF, O_INF, P_INF, Point, PointSet, ProductOf,
+                            Tail, act, contains, metric, truncate)
 
 RADII = (Fraction(1, 2), Fraction(1, 5))
 KS = (4, 8, 16)
@@ -145,6 +147,202 @@ def test_qrp_three_verdicts():
     und = detect_qrp(LAMPLIGHTER_Z, (up("inf"), down("inf")),
                      (Fraction(1, 4), Fraction(1, 10)), els, truncation=20)
     assert und.verdict == INCONCLUSIVE
+
+
+def reference_qrp(space, pair, epsilons, elements, truncation=40):
+    """detect_qrp as a plain ordered scan over every (y, y2, g) until the
+    first hit, with no sorted check to cut a scale short."""
+    epsilons = sorted(map(Fraction, epsilons), reverse=True)
+    points = truncate(space, truncation)
+    witnesses = []
+    for eps in epsilons:
+        near_x = [y for y in points if metric(space, pair[0], y) < eps]
+        near_y = [y for y in points if metric(space, pair[1], y) < eps]
+        hits = ({"epsilon": float(eps), "pair": (y, y2), "element": g,
+                 "distance": d}
+                for y in near_x for y2 in near_y for g in elements
+                for d in [metric(space, act(space, g, y), act(space, g, y2))]
+                if d < eps)
+        witnesses.append(next(hits, None) or {
+            "epsilon": float(eps), "pair": None,
+            "copies": (sorted({p.copy for p in near_x}),
+                       sorted({p.copy for p in near_y}))})
+    if all(w["pair"] is not None for w in witnesses):
+        verdict = POSITIVE
+    elif (space.action == spaces.TRANSLATE
+          and relations._copy_gap_blocks(space, witnesses, epsilons)):
+        verdict = NEGATIVE
+    else:
+        verdict = INCONCLUSIVE
+    return Certificate("qrp", pair, verdict, None, witnesses,
+                       {"epsilons": [float(e) for e in epsilons],
+                        "truncation": truncation,
+                        "elements": len(elements)})
+
+
+def shifts(lo, hi, step=1):
+    return [IntShift(t) for t in range(lo, hi + 1, step)]
+
+
+@pytest.mark.parametrize("verdict, space, pair, epsilons, elements, trunc", [
+    (POSITIVE, TWO_POINT, (TP_PINF, TP_MINF), ("1/4", "1/10"),
+     shifts(-200, 200, 5), 40),
+    (NEGATIVE, THREE_GLUED, (MINF1, PINF2), ("1/4", "1/8"),
+     shifts(-120, 120, 5), 40),
+    # a shift action: copies are kept, but the copy-gap argument is not
+    # made for it
+    (INCONCLUSIVE, LAMPLIGHTER_Z, (up(O_INF), down(O_INF)), ("1/4", "1/10"),
+     shifts(-60, 60, 5), 12),
+    # at scale 3/2 the perturbations reach across copies
+    (INCONCLUSIVE, LAMPLIGHTER_Z, (up(O_INF), down(O_INF)), ("3/2", "1/4"),
+     shifts(-30, 30, 3), 8),
+    (INCONCLUSIVE, THREE_GLUED, (MINF1, PINF2), ("3/2", "1/8"),
+     shifts(-60, 60, 4), 20),
+], ids=["two-point", "three-glued", "lamplighter-z", "lamplighter-z-above-1",
+        "three-glued-above-1"])
+def test_qrp_matches_ordered_scan(verdict, space, pair, epsilons, elements,
+                                  trunc):
+    cert = detect_qrp(space, pair, epsilons, elements, truncation=trunc)
+    assert cert.verdict == verdict
+    assert cert.to_json() == reference_qrp(space, pair, epsilons, elements,
+                                           trunc).to_json()
+
+
+def test_qrp_finds_a_late_hit_after_the_sorted_check(monkeypatch):
+    # the first copy-1 perturbations are too far down for any shift to
+    # carry them near the glued upper limit, so the scan passes the
+    # check, which finds that some element hits, and goes on to the hit
+    checks = []
+    real = spaces.nearest_distance
+
+    def counted(*args):
+        checks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(spaces, "nearest_distance", counted)
+    args = (THREE_GLUED, (MINF1, MINF2), (Fraction(1, 4),), shifts(0, 40, 5))
+    cert = detect_qrp(*args, truncation=40)
+    assert checks
+    assert cert.verdict == POSITIVE
+    assert cert.witnesses[0]["pair"][0] != Point(-40, 1)
+    assert cert.to_json() == reference_qrp(*args, truncation=40).to_json()
+
+
+QRP_SPACES = [TWO_POINT, THREE_GLUED, LAMPLIGHTER_Z]
+
+
+def space_points(space, lo=-6, hi=6):
+    limits = [O_INF] if space is LAMPLIGHTER_Z else [M_INF, P_INF]
+    return st.builds(Point, st.one_of(st.integers(lo, hi),
+                                      st.sampled_from(limits)),
+                     st.sampled_from(space.copies))
+
+
+@st.composite
+def qrp_cases(draw):
+    space = draw(st.sampled_from(QRP_SPACES))
+    pair = (draw(space_points(space)), draw(space_points(space)))
+    epsilons = draw(st.lists(st.sampled_from(
+        [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 2)]),
+        min_size=1, max_size=3, unique=True))
+    elements = [IntShift(t) for t in draw(st.lists(st.integers(-30, 30),
+                                                   max_size=12))]
+    return space, pair, epsilons, elements, draw(st.integers(2, 8))
+
+
+@settings(deadline=None, max_examples=150)
+@given(qrp_cases())
+def test_qrp_equals_ordered_scan_on_random_inputs(case):
+    space, pair, epsilons, elements, trunc = case
+    assert detect_qrp(space, pair, epsilons, elements, trunc).to_json() \
+        == reference_qrp(space, pair, epsilons, elements, trunc).to_json()
+
+
+def test_qrp_negative_row_work_count(monkeypatch):
+    # the scan gives up a scale after about twice the sorted check's
+    # cost; the full triple scan made 150,144 metric calls here
+    calls = []
+    real = relations.metric
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(relations, "metric", counted)
+    cert = detect_qrp(THREE_GLUED, (MINF1, PINF2),
+                      (Fraction(1, 4), Fraction(1, 8)), shifts(-120, 120, 5),
+                      truncation=40)
+    assert cert.verdict == NEGATIVE
+    assert len(calls) < 20_000
+
+
+@st.composite
+def point_set_products(draw):
+    space = draw(st.sampled_from(QRP_SPACES))
+
+    def point_set():
+        points = draw(st.frozensets(space_points(space, -8, 8), max_size=4))
+        tails = draw(st.lists(st.builds(
+            Tail, st.sampled_from(space.copies), st.sampled_from(["le", "ge"]),
+            st.integers(-8, 8)), max_size=2))
+        return PointSet(points, tuple(tails))
+
+    return space, ProductOf(point_set(), point_set()), draw(st.integers(1, 8))
+
+
+@settings(deadline=None, max_examples=100)
+@given(point_set_products())
+def test_closure_margin_equals_pairwise_minimum(case):
+    space, nbhd, trunc = case
+    points = truncate(space, trunc)
+    left = [p for p in points if contains(space, nbhd.left, p)]
+    right = [p for p in points if contains(space, nbhd.right, p)]
+    want = min((metric(space, p, q) for p in left for q in right),
+               default=Fraction(0))
+    cert = forward_closure_negative(space, nbhd, ZInitial(), range(1, 3), trunc)
+    assert cert.witnesses[0]["margin"] == want
+
+
+def test_qrp_rejects_empty_epsilons():
+    with pytest.raises(ValueError, match="epsilons"):
+        detect_qrp(THREE_GLUED, (MINF1, PINF2), (), [IntShift(0)])
+
+
+def _limits_witness(k):
+    return (Point(-k, 1), TP_MINF)
+
+
+LIMITS = (TP_PINF, TP_MINF)
+SCHEDULED = {
+    "srjms_f": lambda radii, ks: detect_srjms_f(
+        TWO_POINT, LIMITS, ZInitial(), _limits_witness, radii, ks,
+        ns=(10, 20)),
+    "swsm_f": lambda radii, ks: detect_swsm_f(
+        TWO_POINT, LIMITS, ZInitial(), _limits_witness, radii, ks, (10, 20)),
+    "qrms_f": lambda radii, ks: detect_qrms_f(
+        TWO_POINT, LIMITS, ZInitial(), _limits_witness, radii, ks, (1, 20)),
+    "qrms_banach": lambda radii, ks: detect_qrms_banach(
+        TWO_POINT, LIMITS, ZInitial(), _limits_witness, radii, ks, n=10,
+        translates=[IntShift(0)]),
+}
+
+
+@pytest.mark.parametrize("kind", SCHEDULED)
+def test_schedule_rejects_empty_radii(kind):
+    with pytest.raises(ValueError, match="radii is empty"):
+        SCHEDULED[kind]((), KS)
+
+
+@pytest.mark.parametrize("kind", SCHEDULED)
+def test_schedule_rejects_empty_witness_indices(kind):
+    with pytest.raises(ValueError, match="ks is empty"):
+        SCHEDULED[kind](RADII, ())
+
+
+@pytest.mark.parametrize("kind", SCHEDULED)
+def test_schedule_accepts_generator_witness_indices(kind):
+    detect = SCHEDULED[kind]
+    assert detect(RADII, iter(KS)).to_json() == detect(RADII, KS).to_json()
 
 
 def test_finite_model_validates_closure():

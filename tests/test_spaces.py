@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
                              MINF1, MINF2, PINF1, PINF2, THREE_GLUED,
@@ -10,7 +10,8 @@ from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
 from meandyn.groups import IntShift, Lamp
 from meandyn.spaces import (Ball, M_INF, O_INF, P_INF, Point, PointSet,
                             ProductOf, Tail, act, canonical, contains, embed,
-                            metric, parse_point, point_from_json,
+                            metric, nearest_distance, parse_point,
+                            point_from_json,
                             point_to_json, render_point, space_from_json,
                             space_to_json, truncate)
 
@@ -150,3 +151,46 @@ def test_neighborhoods():
 def test_two_point_embedding_is_order_preserving(a, b):
     if a < b:
         assert embed(TWO_POINT, Point(a, 1)) < embed(TWO_POINT, Point(b, 1))
+
+
+def points_of(space):
+    """Points of the space as callers write them: glued aliases such as
+    Point(P_INF, 3) on three-glued, limits, and coordinates both small
+    and so large that distinct line coordinates round to one float."""
+    limits = [O_INF] if space is LAMPLIGHTER_Z else [M_INF, P_INF]
+    coord = st.one_of(st.integers(-12, 12), st.sampled_from(limits),
+                      st.integers(10 ** 17, 10 ** 18),
+                      st.integers(-10 ** 18, -10 ** 17))
+    return st.builds(Point, coord, st.sampled_from(space.copies))
+
+
+@st.composite
+def two_sides(draw):
+    space = draw(st.sampled_from([THREE_GLUED, TWO_POINT, LAMPLIGHTER_Z]))
+    left = draw(st.lists(points_of(space), min_size=1, max_size=10))
+    right = draw(st.lists(points_of(space), max_size=10))
+    # some points sit on both sides
+    right += draw(st.lists(st.sampled_from(left), max_size=2))
+    if not right:
+        right = [draw(points_of(space))]
+    return space, left, right
+
+
+@settings(deadline=None, max_examples=200)
+@given(two_sides())
+def test_nearest_distance_equals_brute_force(case):
+    space, left, right = case
+    want = min(metric(space, p, q) for p in left for q in right)
+    assert nearest_distance(space, left, right) == want
+    assert nearest_distance(space, right, left) == want
+
+
+def test_nearest_distance_single_points_and_empty_sides():
+    s = THREE_GLUED
+    assert nearest_distance(s, [Point(P_INF, 3)], [PINF1]) == 0
+    assert nearest_distance(s, [MINF1], [PINF2]) == 3
+    assert nearest_distance(LAMPLIGHTER_Z, [up(O_INF)], [down(O_INF)]) == 1
+    with pytest.raises(ValueError, match="both sides"):
+        nearest_distance(s, [MINF1], [])
+    with pytest.raises(ValueError, match="not in space"):
+        nearest_distance(s, [MINF1], [Point(0, 9)])
