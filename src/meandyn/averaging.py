@@ -44,7 +44,8 @@ def besicovitch_profile(space, x, y, family, window=None, budget=folner.ATOM_BUD
     if window is None:
         window = default_window(family)
     lo, hi = window
-    values = [cesaro_metric(space, x, y, family, n, budget) for n in range(lo, hi + 1)]
+    values = [cesaro_metric(space, x, y, family, n, budget)
+              for n in folner.window_indices(window)]
     upper = values[len(values) // 2:]
     tail_sup = max(upper)
     quarter = values[3 * len(values) // 4:]
@@ -62,6 +63,9 @@ def weyl_estimate(space, x, y, families, window=None, budget=folner.ATOM_BUDGET)
                                    window or default_window(fam), budget)
         if best is None or prof.tail_sup > best[0]:
             best = (prof.tail_sup, fam, prof)
+    if best is None:
+        raise ValueError("families is empty: weyl_estimate needs at least "
+                         "one family")
     return {"value": best[0], "family": best[1], "profile": best[2]}
 
 
@@ -83,6 +87,8 @@ def mec_probe(space, family, limit, approach, epsilon=Fraction(1, 100),
     approach; a late index whose estimate stays above epsilon is a
     violation witness.
     """
+    if window is not None:
+        folner.window_indices(window)
     ests = []
     d_lim = []  # exact distances to the limit; ests carries them as floats
     witness = None

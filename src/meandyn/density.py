@@ -26,6 +26,9 @@ class HittingRecord:
 
 def hitting_density(space, pair, nbhd, elements, keep_members=False):
     els = list(elements)
+    if not els:
+        raise ValueError("elements is empty: hitting_density needs a "
+                         "non-empty element list")
     got = hits(space, pair, nbhd, els)
     return HittingRecord(Fraction(len(got), len(els)), len(got), len(els),
                          got if keep_members else [])
@@ -52,7 +55,8 @@ def hitting_ratios(space, pair, nbhd, family, ns, budget=folner.ATOM_BUDGET):
 def ua_dens_estimate(space, pair, nbhd, family, window, budget=folner.ATOM_BUDGET):
     """Upper density along the family: |hits in F_n| / |F_n| per n."""
     lo, hi = window
-    ratios = hitting_ratios(space, pair, nbhd, family, range(lo, hi + 1), budget)
+    ratios = hitting_ratios(space, pair, nbhd, family,
+                            folner.window_indices(window), budget)
     return DensityProfile((lo, hi), ratios, max(ratios[len(ratios) // 2:]))
 
 

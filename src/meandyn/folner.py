@@ -3,12 +3,32 @@
 Integer families are windows; the lamplighter family is the box of all
 elements whose shift and toggle sites live in A_n = {n, ..., 2n}, of
 cardinality (n+1) * 2^(n+1).  All set statistics are exact rationals.
+
+The defect |K.F_n \\ F_n| / |F_n| is computed in closed form, with no
+element built:
+
+* an integer window F_n = [lo, hi] moves to the union of the windows
+  [lo+k, hi+k], k in K; the defect counts that union's shifts outside
+  [lo, hi];
+* for k in K and f = shift^b toggles(L) in the box, b in A_n and L a
+  subset of A_n, the product is k.f = shift^(k.a+b) toggles((k.lamps+b)
+  xor L).  Its toggles outside A_n are E = (k.lamps+b) \\ A_n, which b
+  alone fixes, and inside A_n they run over every subset as L does.  So
+  k.F_n is a disjoint union of classes C(c, E) = {shift^c toggles(E | S)
+  : S subset of A_n} of 2^(n+1) elements each, F_n is the union of the
+  classes C(c, {}) for c in A_n, and the defect is the number of classes
+  (k.a+b, E) outside F_n, divided by n+1.  That costs O(|K| n) where
+  enumeration costs O(|K| n 2^n).
+
+Interleaved and subsequence families resolve to one of these.
+`elements` still enumerates: it is the reference the closed form is
+tested against, and what `folner --list` prints.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import INTEGERS, LAMPLIGHTER, IntShift, Lamp, multiply
+from .groups import INTEGERS, LAMPLIGHTER, GroupMismatchError, IntShift, Lamp
 
 ATOM_BUDGET = 4_000_000
 
@@ -50,6 +70,8 @@ class Subsequence:
 
 def interleave(families):
     families = tuple(families)
+    if not families:
+        raise ValueError("interleave needs at least one family")
     groups = {group_of_family(f) for f in families}
     if len(groups) != 1:
         raise ValueError("interleaving families of different groups")
@@ -112,6 +134,15 @@ def resolve(family, n):
             return family, n
 
 
+def window_indices(window):
+    """The Folner indices lo..hi of a window (lo, hi), as a range; an
+    inverted window, with nothing in it, raises a ValueError naming it."""
+    lo, hi = window
+    if lo > hi:
+        raise ValueError("window %r is empty: it needs lo <= hi" % ((lo, hi),))
+    return range(lo, hi + 1)
+
+
 def shift_window(family, n):
     """The shifts (lo, hi) that make up the n-th set of an integer
     window family, or None for a family that is not one."""
@@ -141,15 +172,48 @@ def elements(family, n, budget=ATOM_BUDGET):
 
 
 def defect(family, n, K, budget=ATOM_BUDGET):
-    """|K.F_n \\ F_n| / |F_n|, exact.
+    """|K.F_n \\ F_n| / |F_n|, exact, in closed form (see the module
+    docstring).
 
     The one-sided boundary is the quantity the lamplighter bound below
     controls, and it vanishes iff the family is Folner for K.
     """
-    F = elements(family, n, budget)
-    Fset = set(F)
-    moved = {multiply(k, f) for k in K for f in F}
-    return Fraction(len(moved - Fset), len(F))
+    cardinality(family, n, budget)
+    family, n = resolve(family, n)
+    window = shift_window(family, n)
+    if window is None:
+        return _box_defect(n, K)
+    return _window_defect(*window, K)
+
+
+def _window_defect(lo, hi, K):
+    outside = 0
+    end = None  # the last shift counted; windows of equal width, sorted
+    for k in sorted({_checked(k, IntShift(lo)).a for k in K}):
+        first = lo + k if end is None else max(lo + k, end + 1)
+        end = hi + k
+        inside = max(0, min(end, hi) - max(first, lo) + 1)
+        outside += end - first + 1 - inside
+    return Fraction(outside, hi - lo + 1)
+
+
+def _box_defect(n, K):
+    classes = set()
+    for k in K:
+        _checked(k, Lamp(n, ()))
+        for b in range(n, 2 * n + 1):
+            escaped = tuple(d + b for d in k.lamps if not n <= d + b <= 2 * n)
+            if escaped or not n <= k.a + b <= 2 * n:
+                classes.add((k.a + b, escaped))
+    return Fraction(len(classes), n + 1)
+
+
+def _checked(k, first):
+    """k itself, if it is an element of the group of `first`, the first
+    element of F_n; otherwise the error multiply(k, first) raises."""
+    if not isinstance(k, type(first)):
+        raise GroupMismatchError("cannot multiply %r and %r" % (k, first))
+    return k
 
 
 def lamp_defect_bound(g, n):

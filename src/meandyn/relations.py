@@ -116,15 +116,15 @@ def detect_swsm_f(space, pair, family, witnesses, radii, ks, window,
     density over the window."""
     if pair[0] == pair[1]:
         raise ValueError("witness-separation sensitivity is off-diagonal only")
+    ns = folner.window_indices(window)
     radii = sorted(radii, reverse=True)
     ks = list(ks)
     pairs, dists, ok = _witness_schedule(space, witnesses, ks, radii)
-    lo, hi = window
     scores = {}
     for i, wp in enumerate(pairs):
         for r in radii:
             scores[(i, float(r))] = max(density.hitting_ratios(
-                space, wp, Ball(pair, r), family, range(lo, hi + 1), budget))
+                space, wp, Ball(pair, r), family, ns, budget))
     return _positive("swsm_f", pair, scores, pairs, dists, ok,
                      {"family": repr(family), "ks": list(ks),
                       "window": list(window), "radii": [float(r) for r in radii]})
@@ -134,6 +134,7 @@ def detect_qrms_f(space, pair, family, witnesses, radii, ks, window,
                   budget=folner.ATOM_BUDGET):
     """Rigid-mean sensitivity along the family: witness k is scored by
     the tail of its upper-density profile over the window."""
+    folner.window_indices(window)
     radii = sorted(radii, reverse=True)
     ks = list(ks)
     pairs, dists, ok = _witness_schedule(space, witnesses, ks, radii)
@@ -178,6 +179,7 @@ def forward_closure_negative(space, nbhd, family, n_list, truncation,
             and isinstance(nbhd.left, PointSet)
             and isinstance(nbhd.right, PointSet)):
         raise ValueError("closure argument needs a product of point sets")
+    n_list = list(n_list)
     els = []
     seen = set()
     for n in n_list:
@@ -205,7 +207,7 @@ def forward_closure_negative(space, nbhd, family, n_list, truncation,
     verdict = NEGATIVE if closed and margin > 0 else INCONCLUSIVE
     return Certificate("forward_closure", None, verdict, None,
                        [{"margin": margin, "counterexample": counterexample}],
-                       {"family": repr(family), "n_list": list(n_list),
+                       {"family": repr(family), "n_list": n_list,
                         "truncation": truncation, "checked_elements": len(els),
                         "checked_points": len(points)})
 

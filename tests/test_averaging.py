@@ -123,3 +123,20 @@ def test_csv_export(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,average,average_float"
     assert len(lines) == 6
+
+
+def test_profile_rejects_an_inverted_window():
+    with pytest.raises(ValueError, match=r"window \(5, 3\) is empty"):
+        besicovitch_profile(TWO_POINT, Point(0, 1), Point(3, 1), ZInitial(),
+                            (5, 3))
+
+
+def test_mec_probe_rejects_an_inverted_window():
+    with pytest.raises(ValueError, match=r"window \(5, 3\) is empty"):
+        mec_probe(LAMPLIGHTER_Z, ZShifted(), UP_INF, [up(2), up(5)],
+                  window=(5, 3))
+
+
+def test_weyl_rejects_empty_families():
+    with pytest.raises(ValueError, match="families is empty"):
+        weyl_estimate(TWO_POINT, Point(0, 1), Point(3, 1), [])

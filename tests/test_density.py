@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from meandyn import density, folner, measures
 from meandyn.density import (hitting_density, hits, ua_dens_estimate,
                              ub_dens_estimate)
@@ -85,3 +87,16 @@ def test_ub_accepts_a_generator():
     assert est["translates"] == 101
     assert est == ub_dens_estimate(TWO_POINT, pair, u, ZInitial(), 10,
                                    translates)
+
+
+def test_ua_rejects_an_inverted_window():
+    u = Ball((TP_PINF, TP_MINF), Fraction(1, 5))
+    with pytest.raises(ValueError, match=r"window \(5, 3\) is empty"):
+        ua_dens_estimate(TWO_POINT, (Point(-3, 1), TP_MINF), u, ZInitial(),
+                         (5, 3))
+
+
+def test_hitting_density_rejects_empty_elements():
+    u = Ball((TP_PINF, TP_MINF), Fraction(1, 5))
+    with pytest.raises(ValueError, match="elements is empty"):
+        hitting_density(TWO_POINT, (Point(-3, 1), TP_MINF), u, [])

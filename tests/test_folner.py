@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from meandyn import folner
 from meandyn.folner import (BudgetError, Interleaved, LampBox, Subsequence,
                             ZCentered, ZInitial, ZShifted, cardinality,
                             defect, elements, group_of_family, interleave,
                             lamp_defect_bound)
-from meandyn.groups import IntShift, Lamp
+from meandyn.groups import IntShift, Lamp, multiply
 
 
 def shifts(els):
@@ -73,6 +75,11 @@ def test_interleave():
         interleave([ZInitial(), LampBox()])
 
 
+def test_interleave_rejects_no_families():
+    with pytest.raises(ValueError, match="at least one family"):
+        interleave([])
+
+
 def test_subsequence():
     fam = Subsequence(ZInitial(), (2, 4, 8))
     assert shifts(elements(fam, 1)) == [0, 1]
@@ -92,3 +99,101 @@ def test_budget():
 def test_bad_index():
     with pytest.raises(ValueError):
         elements(ZInitial(), 0)
+
+
+def enumerated_defect(family, n, K, budget=folner.ATOM_BUDGET):
+    """The enumerating defect the closed form replaced: every element of
+    F_n multiplied by every k in K."""
+    F = elements(family, n, budget)
+    Fset = set(F)
+    moved = {multiply(k, f) for k in K for f in F}
+    return Fraction(len(moved - Fset), len(F))
+
+
+Z_BASES = [ZInitial(), ZCentered(), ZShifted()]
+
+
+@st.composite
+def defect_cases(draw):
+    lamp = draw(st.booleans())
+    bases = [LampBox()] if lamp else Z_BASES
+    shape = draw(st.sampled_from(["plain", "interleaved", "subsequence"]))
+    if shape == "plain":
+        family = draw(st.sampled_from(bases))
+        n = draw(st.integers(1, 6))
+    elif shape == "interleaved":
+        parts = draw(st.lists(st.sampled_from(bases), min_size=1, max_size=3))
+        family = Interleaved(tuple(parts))
+        n = draw(st.integers(1, 6))
+    else:
+        indices = tuple(draw(st.lists(st.integers(1, 6), min_size=1,
+                                      max_size=4)))
+        family = Subsequence(draw(st.sampled_from(bases)), indices)
+        n = draw(st.integers(1, len(indices)))
+    m = folner.resolve(family, n)[1]
+    if lamp:
+        # toggle sites on both sides of A_m = {m, ..., 2m}
+        sites = st.lists(st.integers(m - 3, 2 * m + 3), unique=True,
+                         max_size=3).map(lambda b: tuple(sorted(b)))
+        element = st.builds(Lamp, st.integers(-4, 4), sites)
+    else:
+        element = st.builds(IntShift, st.integers(-15, 15))
+    K = draw(st.lists(element, max_size=3))
+    if K and draw(st.booleans()):
+        K.append(draw(st.sampled_from(K)))  # a duplicate
+    return family, n, K
+
+
+@settings(deadline=None, max_examples=400)
+@given(defect_cases(), st.booleans())
+def test_closed_form_defect_equals_enumeration(case, as_generator):
+    family, n, K = case
+    got = defect(family, n, iter(K) if as_generator else K)
+    assert got == enumerated_defect(family, n, K)
+
+
+def test_defect_builds_no_element(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("defect enumerated F_n")
+    monkeypatch.setattr(folner, "elements", refuse)
+    assert defect(LampBox(), 8, [Lamp(1, (-1,))]) == Fraction(2, 9)
+    assert defect(interleave([ZInitial(), ZCentered()]), 4,
+                  [IntShift(2)]) == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("family, good, bad", [
+    (ZInitial(), IntShift(1), Lamp(1, ())),
+    (LampBox(), Lamp(1, (2,)), IntShift(1)),
+    (Subsequence(LampBox(), (2, 3)), Lamp(0, ()), 7),
+    (interleave([ZCentered(), ZShifted()]), IntShift(-2), "s^1 t{}"),
+])
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_wrong_group_error_is_unchanged(family, good, bad, bad_first):
+    K = [bad, good] if bad_first else [good, bad]
+    with pytest.raises(Exception) as expected:
+        enumerated_defect(family, 2, K)
+    with pytest.raises(type(expected.value)) as got:
+        defect(family, 2, K)
+    assert str(got.value) == str(expected.value)
+
+
+def test_defect_keeps_the_budget():
+    with pytest.raises(BudgetError):
+        defect(LampBox(), 17, [Lamp(1, ())])
+    with pytest.raises(BudgetError):
+        defect(LampBox(), 10, [Lamp(1, ())], budget=1000)
+    with pytest.raises(ValueError):
+        defect(ZInitial(), 0, [IntShift(1)])
+    assert defect(LampBox(), 16, []) == 0
+
+
+def test_deep_defects():
+    assert defect(LampBox(), 40, [Lamp(1, ())], budget=None) == Fraction(1, 41)
+    # b + 3 leaves A_40 for b in {78, 79, 80}, b + 2 for b in {79, 80} and
+    # b - 1 for b = 40: four classes, against six site-by-site overflows
+    g = Lamp(2, (-1, 3))
+    assert defect(LampBox(), 40, [g], budget=None) == Fraction(4, 41)
+    assert lamp_defect_bound(g, 40) == Fraction(6, 41)
+    # shifts 3 and -2 of {-n, ..., n} leave it by 3 and 2 sites
+    assert defect(ZCentered(), 10 ** 6, [IntShift(3), IntShift(-2)]) \
+        == Fraction(5, 2 * 10 ** 6 + 1)

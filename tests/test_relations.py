@@ -377,3 +377,20 @@ def test_hull_law_three_glued():
     qrp = [("o1", "o2"), ("o2", "o3"), ("minf1", "pinf1")]
     assert icer_hull(THREE_GLUED_MODEL, prox + qrms) \
         == icer_hull(THREE_GLUED_MODEL, qrp)
+
+
+@pytest.mark.parametrize("detect", [detect_swsm_f, detect_qrms_f])
+def test_window_detectors_reject_an_inverted_window(detect):
+    with pytest.raises(ValueError, match=r"window \(5, 3\) is empty"):
+        detect(TWO_POINT, LIMITS, ZInitial(), _limits_witness, RADII, KS,
+               (5, 3))
+
+
+def test_forward_closure_accepts_a_generator_n_list():
+    nbhd = negative_tails_product()
+    cert = forward_closure_negative(THREE_GLUED, nbhd, ZInitial(),
+                                    iter(range(1, 4)), 20)
+    assert cert.params["n_list"] == [1, 2, 3]
+    assert cert.params["checked_elements"] == 3
+    assert cert.to_json() == forward_closure_negative(
+        THREE_GLUED, nbhd, ZInitial(), range(1, 4), 20).to_json()
