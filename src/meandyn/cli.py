@@ -10,7 +10,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import averaging, density, folner, gallery, measures, relations, spaces
+from . import averaging, density, folner, gallery, measures, spaces
 from .folner import BudgetError, LampBox, ZCentered, ZInitial, ZShifted
 from .groups import LAMPLIGHTER, parse, render
 
@@ -149,29 +149,14 @@ def cmd_measure(args):
 
 
 def cmd_detect(args):
-    profile = gallery.PROFILES[args.profile]
     space = _space(args)
     pair = _pair(space, args.pair)
-    cases = {
-        "two-point": gallery.TWO_POINT_CASES,
-        "three-glued": (gallery.THREE_GLUED_CASES
-                        + [gallery.THREE_GLUED_CENTERED_CASE]),
-    }.get(args.system, [])
-    if args.system == "lamplighter":
-        lcases, ks = gallery.lamplighter_cases(profile)
-        for case in lcases:
-            if case.pair == pair:
-                certs = gallery.run_lamplighter_case(case, profile, ks)
-                break
-        else:
-            raise SystemExit2("no registered witnesses for %r" % (args.pair,))
-    else:
-        for case in cases:
-            if case.pair == pair:
-                certs = case.run(space, profile)
-                break
-        else:
-            raise SystemExit2("no registered witnesses for %r" % (args.pair,))
+    system = gallery.SYSTEMS[args.system]
+    case = system.case(pair)
+    if case is None:
+        raise SystemExit2("no registered witnesses for %r" % (args.pair,))
+    certs = case.run(space, system.schedule(gallery.PROFILES[args.profile]),
+                     args.budget)
     if args.relation != "all":
         if args.relation not in certs:
             raise SystemExit2("no %s certificate for this pair" % args.relation)
@@ -182,14 +167,10 @@ def cmd_detect(args):
 
 
 def cmd_icer(args):
-    if args.system == "two-point":
-        hull = relations.icer_hull(gallery.TWO_POINT_MODEL, [("pinf", "minf")])
-    elif args.system == "three-glued":
-        hull = relations.icer_hull(gallery.THREE_GLUED_MODEL,
-                                   [("minf1", "pinf1"), ("pinf1", "minf2"),
-                                    ("minf2", "pinf2")])
-    else:
+    system = gallery.SYSTEMS.get(args.system)
+    if system is None or system.model is None:
         raise SystemExit2("no finite model registered for %r" % args.system)
+    hull = system.hull()
     _emit({"system": args.system, "classes": sorted({a for a, _ in hull}),
            "hull": sorted(list(p) for p in hull)})
     return 0
@@ -234,7 +215,8 @@ def build_parser():
     p.add_argument("--n", type=_index, required=True)
     p.add_argument("--list", action="store_true")
     p.add_argument("--defect", help="';'-separated elements for K")
-    p.add_argument("--bound", help="lamplighter element for the defect bound")
+    p.add_argument("--bound",
+                   help="element of the lamplighter group for the defect bound")
     p.set_defaults(fn=cmd_folner)
 
     p = sub.add_parser("avg", help="Cesaro average profile of a pair")
@@ -266,9 +248,8 @@ def build_parser():
     p.add_argument("--system", required=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--relation", default="all",
-                   choices=["all", "qrms_f", "srjms_f", "swsm_f",
-                            "qrms_banach"])
-    p.add_argument("--profile", default="quick", choices=["quick", "full"])
+                   choices=["all", *gallery.DETECTORS])
+    p.add_argument("--profile", default="quick", choices=sorted(gallery.PROFILES))
     p.set_defaults(fn=cmd_detect)
 
     p = sub.add_parser("icer", help="hull on the finite model")
@@ -277,12 +258,13 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="replay a system's expected table")
     p.add_argument("--system", default="all")
-    p.add_argument("--profile", default="quick", choices=["quick", "full"])
+    p.add_argument("--profile", default="quick", choices=sorted(gallery.PROFILES))
     p.add_argument("--format", default="table", choices=["table", "json"])
     p.set_defaults(fn=cmd_reproduce)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--budget", type=int, default=folner.ATOM_BUDGET)
+    for cmd in ("folner", "avg", "density", "measure", "detect"):
+        sub.choices[cmd].add_argument("--budget", type=int,
+                                      default=folner.ATOM_BUDGET)
     return ap
 
 

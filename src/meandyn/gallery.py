@@ -9,6 +9,12 @@ Five registered systems:
 * three-glued       three two-point intervals glued into a chain,
                     integers translating
 
+Each is one `System` record in `SYSTEMS`: the space, the expected
+rows, the registered `PairCase`s with the detector `Schedule` they run
+at, and, where there is one, the finite model with the map from limit
+points to model classes.  `System.hull()` seeds `icer_hull` with the
+off-diagonal registered pairs, the pairs the detectors certify.
+
 `verify(name, profile)` replays every expected row at the profile's
 budgets and reports MATCH / MISMATCH per row.
 """
@@ -74,13 +80,6 @@ def lamplighter_corner_measure():
         ((DOWN_INF, UP_INF), w), ((DOWN_INF, DOWN_INF), w)])
 
 
-# three-glued target of the centered-window limit
-def half_half_measure():
-    w = Fraction(1, 2)
-    return measures.measure(THREE_GLUED, [((PINF1, PINF1), w),
-                                          ((MINF1, MINF2), w)])
-
-
 def negative_tails_product():
     """Product neighborhood used by the forward-closure obstruction:
     strictly negative coordinates of copy 1 (with its lower limit)
@@ -124,36 +123,72 @@ def three_glued_expected_hull():
 
 # --------------------------------------------------------------- pair cases
 
+@dataclass(frozen=True)
+class Schedule:
+    """Detector parameters shared by the registered pairs of a system."""
+    radii: tuple
+    ks: tuple                 # witness indices
+    qrms_window: tuple
+    srjms_ns: tuple           # matched indices, one per witness index
+    banach_shape: object
+    banach_n: int
+    translates: tuple         # right translates of the Banach shape
+    swsm_window: tuple
+
+
+def z_schedule(profile):
+    z = profile.z_hi
+    return Schedule(
+        radii=(Fraction(1, 2), Fraction(1, 5)), ks=(4, 8, 16),
+        qrms_window=(1, z), srjms_ns=(z // 2, 3 * z // 4, z),
+        banach_shape=ZInitial(), banach_n=z // 4,
+        translates=tuple(IntShift(t) for t in
+                         range(-2 * z, 2 * z + 1, max(1, z // 50))),
+        swsm_window=(z // 2, z))
+
+
+def lamp_schedule(profile):
+    m = profile.lamp_n_max
+    ks = (6, 9, 12) if m >= 12 else (4, 6, 8)
+    # the translated window must be able to toggle lamps at the witness
+    # sites, so the shape is a small box and the translates are shifts
+    return Schedule(
+        radii=(Fraction(1, 2), Fraction(1, 3)), ks=ks,
+        qrms_window=(1, m), srjms_ns=ks,
+        banach_shape=LampBox(), banach_n=4,
+        translates=tuple(Lamp(t, ()) for t in range(-3 * m, 3 * m + 1)),
+        swsm_window=(2, m))
+
+
+# detector kinds in certificate order; swsm_f only off the diagonal
+DETECTORS = ("qrms_f", "srjms_f", "qrms_banach", "swsm_f")
+
+
 @dataclass
 class PairCase:
     """One claimed member of the rigidity relation, with its registered
-    witness family and detector schedules."""
+    witness family."""
     pair: tuple
     witness: object                 # callable k -> pair
     family: object                  # family for the density profiles
-    srjms_ns: object = None         # matched indices; None = top of window
+    srjms_ns: object = None         # matched indices; None = the schedule's
 
-    def run(self, space, profile, radii=(Fraction(1, 2), Fraction(1, 5))):
-        win = (1, profile.z_hi)
-        ks = (4, 8, 16)
-        certs = {}
-        certs["qrms_f"] = relations.detect_qrms_f(
-            space, self.pair, self.family, self.witness, radii, ks, win)
-        ns = self.srjms_ns or (profile.z_hi // 2, 3 * profile.z_hi // 4,
-                               profile.z_hi)
-        certs["srjms_f"] = relations.detect_srjms_f(
-            space, self.pair, self.family, self.witness, radii, ks, ns)
-        certs["qrms_banach"] = relations.detect_qrms_banach(
-            space, self.pair, ZInitial(), self.witness, radii, ks,
-            n=profile.z_hi // 4,
-            translates=[IntShift(t) for t in
-                        range(-2 * profile.z_hi, 2 * profile.z_hi + 1,
-                              max(1, profile.z_hi // 50))])
-        if self.pair[0] != self.pair[1]:
-            certs["swsm_f"] = relations.detect_swsm_f(
-                space, self.pair, self.family, self.witness, radii, ks,
-                (profile.z_hi // 2, profile.z_hi))
-        return certs
+    def certificate(self, kind, space, schedule, budget=folner.ATOM_BUDGET):
+        """Run the detector `kind` for this pair at the schedule."""
+        s = schedule
+        family, last = {
+            "qrms_f": (self.family, (s.qrms_window,)),
+            "srjms_f": (self.family, (self.srjms_ns or s.srjms_ns,)),
+            "qrms_banach": (s.banach_shape, (s.banach_n, s.translates)),
+            "swsm_f": (self.family, (s.swsm_window,)),
+        }[kind]
+        detect = getattr(relations, "detect_" + kind)
+        return detect(space, self.pair, family, self.witness, s.radii, s.ks,
+                      *last, budget=budget)
+
+    def run(self, space, schedule, budget=folner.ATOM_BUDGET):
+        kinds = DETECTORS if self.pair[0] != self.pair[1] else DETECTORS[:-1]
+        return {k: self.certificate(k, space, schedule, budget) for k in kinds}
 
 
 def _const(pair):
@@ -178,49 +213,19 @@ THREE_GLUED_CASES = [
              ZInitial()),
     PairCase((MINF1, MINF1), _const((MINF1, MINF1)), ZInitial()),
     PairCase((PINF2, PINF2), _const((PINF2, PINF2)), ZInitial()),
+    # last, for its own rows: the shared lower limits join only under
+    # the centered family
+    PairCase((MINF1, MINF2), lambda k: (Point(k, 1), Point(k, 3)),
+             ZCentered()),
 ]
 
-# only under the centered family
-THREE_GLUED_CENTERED_CASE = PairCase(
-    (MINF1, MINF2), lambda k: (Point(k, 1), Point(k, 3)), ZCentered())
-
-
-def lamplighter_cases(profile):
-    if profile.lamp_n_max >= 12:
-        ks = (6, 9, 12)
-    else:
-        ks = (4, 6, 8)
-    return [
-        # toggling one lamp ahead of the viewing window separates the
-        # two copy limits with positive frequency
-        PairCase((UP_INF, DOWN_INF), lambda k: (up(k), up(k + 1)),
-                 LampBox(), srjms_ns=ks),
-        PairCase((UP_INF, UP_INF), _const((UP_INF, UP_INF)), LampBox(),
-                 srjms_ns=(2, 3, 4)),
-    ], ks
-
-
-def run_lamplighter_case(case, profile, ks):
-    radii = (Fraction(1, 2), Fraction(1, 3))
-    win = (1, profile.lamp_n_max)
-    certs = {}
-    certs["qrms_f"] = relations.detect_qrms_f(
-        LAMPLIGHTER, case.pair, case.family, case.witness, radii, ks, win)
-    certs["srjms_f"] = relations.detect_srjms_f(
-        LAMPLIGHTER, case.pair, case.family, case.witness, radii, ks,
-        case.srjms_ns)
-    # the translated window must be able to toggle lamps at the witness
-    # sites, so the shape is a small box and the translates are shifts
-    certs["qrms_banach"] = relations.detect_qrms_banach(
-        LAMPLIGHTER, case.pair, LampBox(), case.witness, radii, ks,
-        n=4,
-        translates=[Lamp(t, ()) for t in range(-3 * profile.lamp_n_max,
-                                               3 * profile.lamp_n_max + 1)])
-    if case.pair[0] != case.pair[1]:
-        certs["swsm_f"] = relations.detect_swsm_f(
-            LAMPLIGHTER, case.pair, case.family, case.witness, radii, ks,
-            (2, profile.lamp_n_max))
-    return certs
+LAMPLIGHTER_CASES = [
+    # toggling one lamp ahead of the viewing window separates the
+    # two copy limits with positive frequency
+    PairCase((UP_INF, DOWN_INF), lambda k: (up(k), up(k + 1)), LampBox()),
+    PairCase((UP_INF, UP_INF), _const((UP_INF, UP_INF)), LampBox(),
+             srjms_ns=(2, 3, 4)),
+]
 
 
 # -------------------------------------------------------------------- rows
@@ -236,8 +241,19 @@ def _row(name, ok, detail=""):
     return Row(name, "MATCH" if ok else "MISMATCH", detail)
 
 
-def _rows_literature_dock(profile):
-    space = LITERATURE_DOCK
+def _case_rows(space, cases, schedule):
+    rows = []
+    for case in cases:
+        certs = case.run(space, schedule)
+        ok = all(c.verdict == relations.POSITIVE for c in certs.values())
+        rows.append(_row("positive-%s-%s" % tuple(map(spaces.render_point,
+                                                      case.pair)),
+                         ok, str({k: c.verdict for k, c in certs.items()})))
+    return rows
+
+
+def _rows_literature_dock(system, profile):
+    space = system.space
     rows = []
     x = Point(5, 0)
     u = ProductOf(PointSet(frozenset([x])), PointSet(frozenset([x])))
@@ -250,10 +266,10 @@ def _rows_literature_dock(profile):
     rows.append(_row("isolated-diagonal-density-vanishes", ok))
 
     inf = Point(O_INF, 0)
+    sched = system.schedule(profile)
     cert = relations.detect_srjms_f(
-        space, (inf, inf), ZInitial(),
-        lambda k: (Point(k, 0), inf), (Fraction(1, 2), Fraction(1, 5)),
-        (4, 8, 16), ns=(profile.z_hi // 2, 3 * profile.z_hi // 4, profile.z_hi))
+        space, (inf, inf), ZInitial(), lambda k: (Point(k, 0), inf),
+        sched.radii, sched.ks, sched.srjms_ns)
     rows.append(_row("fixed-point-diagonal-positive",
                      cert.verdict == relations.POSITIVE,
                      "c=%s" % cert.threshold))
@@ -265,8 +281,8 @@ def _rows_literature_dock(profile):
     return rows
 
 
-def _rows_lamplighter_z(profile):
-    space = LAMPLIGHTER_Z
+def _rows_lamplighter_z(system, profile):
+    space = system.space
     rows = []
     win = (1, profile.z_hi)
     prof = averaging.besicovitch_profile(space, up(0), up(7), ZShifted(), win)
@@ -301,8 +317,8 @@ def corner_average_oracle(n):
     return total / (n + 1)
 
 
-def _rows_lamplighter(profile):
-    space = LAMPLIGHTER
+def _rows_lamplighter(system, profile):
+    space = system.space
     rows = []
     nmax = profile.lamp_n_max
     ok = all(len(folner.elements(LampBox(), n)) == (n + 1) * 2 ** (n + 1)
@@ -345,13 +361,13 @@ def _rows_lamplighter(profile):
     rows.append(_row("corner-limit-w1", decreasing and exact,
                      "last=%s" % float(vals[-1])))
 
-    cases, ks = lamplighter_cases(profile)
-    sep = run_lamplighter_case(cases[0], profile, ks)
+    sched = system.schedule(profile)
+    sep = system.cases[0].run(space, sched)
     rows.append(_row("copy-separation-positive",
                      all(c.verdict == relations.POSITIVE
                          for c in sep.values()),
                      str({k: c.verdict for k, c in sep.items()})))
-    diag = run_lamplighter_case(cases[1], profile, ks)
+    diag = system.cases[1].run(space, sched)
     rows.append(_row("fixed-diagonal-positive",
                      diag["qrms_f"].verdict == relations.POSITIVE))
 
@@ -363,22 +379,16 @@ def _rows_lamplighter(profile):
 
     est = measures.support_union_estimate(
         space, [up(0), down(0), UP_INF, DOWN_INF], [LampBox(), ZShifted()],
-        min(nmax, profile.lamp_n_max))
+        nmax)
     rows.append(_row("support-is-both-limits",
                      set(est["points"]) == {UP_INF, DOWN_INF},
                      repr(est["points"])))
     return rows
 
 
-def _rows_two_point(profile):
-    space = TWO_POINT
-    rows = []
-    for case in TWO_POINT_CASES:
-        certs = case.run(space, profile)
-        ok = all(c.verdict == relations.POSITIVE for c in certs.values())
-        rows.append(_row("positive-%s-%s" % (spaces.render_point(case.pair[0]),
-                                             spaces.render_point(case.pair[1])),
-                         ok, str({k: c.verdict for k, c in certs.items()})))
+def _rows_two_point(system, profile):
+    space = system.space
+    rows = _case_rows(space, system.cases, system.schedule(profile))
 
     elements = [IntShift(t) for t in range(-profile.z_hi, profile.z_hi + 1)]
     prox = relations.detect_proximal(space, (TP_PINF, TP_MINF), elements)
@@ -394,9 +404,8 @@ def _rows_two_point(profile):
     rows.append(_row("limits-regionally-proximal",
                      qrp.verdict == relations.POSITIVE, qrp.verdict))
 
-    hull = icer_hull(TWO_POINT_MODEL, [("pinf", "minf")])
     rows.append(_row("hull-glues-the-two-limits",
-                     hull == two_point_expected_hull()))
+                     system.hull() == two_point_expected_hull()))
 
     emp = measures.empirical(space, (Point(-3, 1), TP_MINF), ZInitial(),
                              profile.measure_n)
@@ -417,21 +426,13 @@ def _rows_two_point(profile):
     return rows
 
 
-def _rows_three_glued(profile):
-    space = THREE_GLUED
-    rows = []
-    for case in THREE_GLUED_CASES:
-        certs = case.run(space, profile)
-        ok = all(c.verdict == relations.POSITIVE for c in certs.values())
-        rows.append(_row("positive-%s-%s" % (spaces.render_point(case.pair[0]),
-                                             spaces.render_point(case.pair[1])),
-                         ok, str({k: c.verdict for k, c in certs.items()})))
+def _rows_three_glued(system, profile):
+    space = system.space
+    sched = system.schedule(profile)
+    *cases, centered = system.cases
+    rows = _case_rows(space, cases, sched)
 
-    # the shared lower limits join only under the centered family
-    case = THREE_GLUED_CENTERED_CASE
-    cert = relations.detect_qrms_f(space, case.pair, case.family, case.witness,
-                                   (Fraction(1, 2), Fraction(1, 5)),
-                                   (4, 8, 16), (1, profile.z_hi))
+    cert = centered.certificate("qrms_f", space, sched)
     rows.append(_row("lower-limits-join-under-centered-family",
                      cert.verdict == relations.POSITIVE,
                      "c=%s" % cert.threshold))
@@ -443,13 +444,7 @@ def _rows_three_glued(profile):
                      neg.verdict == relations.NEGATIVE,
                      "margin=%s" % float(neg.witnesses[0]["margin"])))
 
-    banach = relations.detect_qrms_banach(
-        space, (MINF1, MINF2), ZInitial(), case.witness,
-        (Fraction(1, 2), Fraction(1, 5)), (4, 8, 16),
-        n=profile.z_hi // 4,
-        translates=[IntShift(t) for t in range(-2 * profile.z_hi,
-                                               2 * profile.z_hi + 1,
-                                               max(1, profile.z_hi // 50))])
+    banach = centered.certificate("qrms_banach", space, sched)
     rows.append(_row("lower-limits-join-in-banach-sense",
                      banach.verdict == relations.POSITIVE))
 
@@ -467,11 +462,8 @@ def _rows_three_glued(profile):
     rows.append(_row("parallel-orbits-proximal",
                      prox.verdict == relations.POSITIVE))
 
-    hull = icer_hull(THREE_GLUED_MODEL,
-                     [("minf1", "pinf1"), ("pinf1", "minf2"),
-                      ("minf2", "pinf2")])
     rows.append(_row("hull-glues-all-four-limits",
-                     hull == three_glued_expected_hull()))
+                     system.hull() == three_glued_expected_hull()))
 
     mn = profile.measure_n
     seq = [measures.empirical(space, (Point(3, 1), Point(3, 3)), ZCentered(), m)
@@ -499,20 +491,54 @@ def _rows_three_glued(profile):
     return rows
 
 
+@dataclass
+class System:
+    """One registered system: its space, its expected table, the pairs
+    it certifies with their detector schedule, and the finite model
+    whose hull those pairs seed."""
+    space: object
+    rows: object                    # (system, profile) -> [Row]
+    cases: tuple = ()               # registered PairCases
+    schedule: object = z_schedule   # profile -> Schedule
+    model: FiniteModel = None
+    classes: dict = None            # limit point -> model class
+
+    def case(self, pair):
+        """The registered case of `pair`, or None."""
+        return next((c for c in self.cases if c.pair == pair), None)
+
+    def hull(self):
+        """Smallest closed invariant equivalence relation on the model
+        containing every off-diagonal registered pair."""
+        return icer_hull(self.model, [
+            (self.classes[a], self.classes[b])
+            for a, b in (c.pair for c in self.cases) if a != b])
+
+
 SYSTEMS = {
-    "literature-dock": (LITERATURE_DOCK, _rows_literature_dock),
-    "lamplighter-z": (LAMPLIGHTER_Z, _rows_lamplighter_z),
-    "lamplighter": (LAMPLIGHTER, _rows_lamplighter),
-    "two-point": (TWO_POINT, _rows_two_point),
-    "three-glued": (THREE_GLUED, _rows_three_glued),
+    "literature-dock": System(LITERATURE_DOCK, _rows_literature_dock),
+    "lamplighter-z": System(LAMPLIGHTER_Z, _rows_lamplighter_z),
+    "lamplighter": System(LAMPLIGHTER, _rows_lamplighter, LAMPLIGHTER_CASES,
+                          lamp_schedule),
+    "two-point": System(TWO_POINT, _rows_two_point, TWO_POINT_CASES,
+                        model=TWO_POINT_MODEL,
+                        classes={TP_MINF: "minf", TP_PINF: "pinf"}),
+    "three-glued": System(THREE_GLUED, _rows_three_glued, THREE_GLUED_CASES,
+                          model=THREE_GLUED_MODEL,
+                          classes={MINF1: "minf1", PINF1: "pinf1",
+                                   MINF2: "minf2", PINF2: "pinf2"}),
 }
 
 
-def build(name):
+def _system(name):
     if name not in SYSTEMS:
         raise ValueError("unknown system %r; have %s"
                          % (name, sorted(SYSTEMS)))
-    return SYSTEMS[name][0]
+    return SYSTEMS[name]
+
+
+def build(name):
+    return _system(name).space
 
 
 @dataclass
@@ -529,7 +555,5 @@ class Report:
 def verify(name, profile="quick"):
     if isinstance(profile, str):
         profile = PROFILES[profile]
-    space, runner = SYSTEMS[name] if name in SYSTEMS else (None, None)
-    if runner is None:
-        raise ValueError("unknown system %r" % (name,))
-    return Report(name, profile.name, runner(profile))
+    system = _system(name)
+    return Report(name, profile.name, system.rows(system, profile))

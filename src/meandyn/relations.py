@@ -62,29 +62,32 @@ class Certificate:
 DENSITY_FLOOR = Fraction(1, 50)
 
 
-def _witness_schedule(space, witnesses, ks, radii):
-    """Materialize witness pairs and enforce the diagonality contract:
-    distances strictly decreasing (ties allowed only at zero, for
-    witnesses sitting exactly on the diagonal) and ending below the
-    finest radius."""
+def _scheduled(kind, space, pair, witnesses, radii, ks, score, params):
+    """Score every (witness, radius) of the schedule, witness-major, by
+    `score(i, witness_pair, ball)`, and certify the common density c.
+
+    The diagonality contract: witness distances strictly decrease (ties
+    allowed only at zero, for witnesses sitting exactly on the diagonal)
+    and end below the finest radius."""
+    radii = sorted(radii, reverse=True)
     if not radii:
         raise ValueError("radii is empty: the schedule must end below a radius")
+    ks = list(ks)
     pairs = [witnesses(k) for k in ks]
     if not pairs:
         raise ValueError("ks is empty: the schedule needs a witness index")
     dists = [metric(space, p[0], p[1]) for p in pairs]
     ok = (all(a > b or a == b == 0 for a, b in zip(dists, dists[1:]))
-          and dists[-1] < min(radii))
-    return pairs, dists, ok
-
-
-def _positive(kind, pair, scores, pairs, dists, ok, params, floor=DENSITY_FLOOR):
-    c = min(scores.values()) if scores else Fraction(0)
-    verdict = POSITIVE if ok and c >= floor else INCONCLUSIVE
+          and dists[-1] < radii[-1])
+    scores = {(i, float(r)): score(i, wp, Ball(pair, r))
+              for i, wp in enumerate(pairs) for r in radii}
+    c = min(scores.values())
+    verdict = POSITIVE if ok and c >= DENSITY_FLOOR else INCONCLUSIVE
     wit = [{"pair": p, "distance": d,
-            "scores": {k: v for (kk, k), v in scores.items() if kk == i}}
+            "scores": {r: v for (j, r), v in scores.items() if j == i}}
            for i, (p, d) in enumerate(zip(pairs, dists))]
-    params = dict(params, floor=float(floor), common_density=c)
+    params = dict(params, ks=ks, radii=[float(r) for r in radii],
+                  floor=float(DENSITY_FLOOR), common_density=c)
     return Certificate(kind, pair, verdict, c if verdict == POSITIVE else None,
                        wit, params)
 
@@ -94,19 +97,19 @@ def detect_srjms_f(space, pair, family, witnesses, radii, ks, ns=None,
     """Sensitivity along the family: witness k is scored by the density
     of its hitting set inside a single matched set F_{n_k} (by default
     n_k = k)."""
-    radii = sorted(radii, reverse=True)
     ks = list(ks)
-    if ns is None:
-        ns = list(ks)
-    pairs, dists, ok = _witness_schedule(space, witnesses, ks, radii)
-    scores = {}
-    for i, (n, wp) in enumerate(zip(ns, pairs)):
-        for r in radii:
-            scores[(i, float(r))] = density.hitting_ratios(
-                space, wp, Ball(pair, r), family, [n], budget)[0]
-    return _positive("srjms_f", pair, scores, pairs, dists, ok,
-                     {"family": repr(family), "ks": list(ks), "ns": list(ns),
-                      "radii": [float(r) for r in radii]})
+    ns = ks if ns is None else list(ns)
+
+    def score(i, wp, ball):
+        # checked here, after the schedule's own emptiness checks
+        if len(ns) != len(ks):
+            raise ValueError("ns has %d entries for %d witness indices"
+                             % (len(ns), len(ks)))
+        return density.hitting_ratios(space, wp, ball, family, [ns[i]],
+                                      budget)[0]
+
+    return _scheduled("srjms_f", space, pair, witnesses, radii, ks, score,
+                      {"family": repr(family), "ns": ns})
 
 
 def detect_swsm_f(space, pair, family, witnesses, radii, ks, window,
@@ -117,17 +120,12 @@ def detect_swsm_f(space, pair, family, witnesses, radii, ks, window,
     if pair[0] == pair[1]:
         raise ValueError("witness-separation sensitivity is off-diagonal only")
     ns = folner.window_indices(window)
-    radii = sorted(radii, reverse=True)
-    ks = list(ks)
-    pairs, dists, ok = _witness_schedule(space, witnesses, ks, radii)
-    scores = {}
-    for i, wp in enumerate(pairs):
-        for r in radii:
-            scores[(i, float(r))] = max(density.hitting_ratios(
-                space, wp, Ball(pair, r), family, ns, budget))
-    return _positive("swsm_f", pair, scores, pairs, dists, ok,
-                     {"family": repr(family), "ks": list(ks),
-                      "window": list(window), "radii": [float(r) for r in radii]})
+
+    def score(i, wp, ball):
+        return max(density.hitting_ratios(space, wp, ball, family, ns, budget))
+
+    return _scheduled("swsm_f", space, pair, witnesses, radii, ks, score,
+                      {"family": repr(family), "window": list(window)})
 
 
 def detect_qrms_f(space, pair, family, witnesses, radii, ks, window,
@@ -135,36 +133,28 @@ def detect_qrms_f(space, pair, family, witnesses, radii, ks, window,
     """Rigid-mean sensitivity along the family: witness k is scored by
     the tail of its upper-density profile over the window."""
     folner.window_indices(window)
-    radii = sorted(radii, reverse=True)
-    ks = list(ks)
-    pairs, dists, ok = _witness_schedule(space, witnesses, ks, radii)
-    scores = {}
-    for i, wp in enumerate(pairs):
-        for r in radii:
-            prof = density.ua_dens_estimate(space, wp, Ball(pair, r),
-                                            family, window, budget)
-            scores[(i, float(r))] = prof.tail_max
-    return _positive("qrms_f", pair, scores, pairs, dists, ok,
-                     {"family": repr(family), "ks": list(ks),
-                      "window": list(window), "radii": [float(r) for r in radii]})
+
+    def score(i, wp, ball):
+        return density.ua_dens_estimate(space, wp, ball, family, window,
+                                        budget).tail_max
+
+    return _scheduled("qrms_f", space, pair, witnesses, radii, ks, score,
+                      {"family": repr(family), "window": list(window)})
 
 
 def detect_qrms_banach(space, pair, shape, witnesses, radii, ks, n,
                        translates=None, budget=folner.ATOM_BUDGET):
     """Banach version: witness k is scored by the best density over
     right translates of the window shape."""
-    radii = sorted(radii, reverse=True)
-    ks = list(ks)
-    pairs, dists, ok = _witness_schedule(space, witnesses, ks, radii)
-    scores = {}
-    for i, wp in enumerate(pairs):
-        for r in radii:
-            est = density.ub_dens_estimate(space, wp, Ball(pair, r),
-                                           shape, n, translates, budget)
-            scores[(i, float(r))] = est["sup"]
-    return _positive("qrms_banach", pair, scores, pairs, dists, ok,
-                     {"shape": repr(shape), "ks": list(ks), "n": n,
-                      "radii": [float(r) for r in radii]})
+    # every (witness, radius) reads the same translates
+    translates = None if translates is None else list(translates)
+
+    def score(i, wp, ball):
+        return density.ub_dens_estimate(space, wp, ball, shape, n,
+                                        translates, budget)["sup"]
+
+    return _scheduled("qrms_banach", space, pair, witnesses, radii, ks, score,
+                      {"shape": repr(shape), "n": n})
 
 
 def forward_closure_negative(space, nbhd, family, n_list, truncation,

@@ -7,14 +7,14 @@ from fractions import Fraction
 
 from meandyn import averaging, density, folner, gallery, measures, relations
 from meandyn.folner import LampBox, ZCentered, ZInitial, ZShifted
-from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
-                             MINF1, MINF2, PINF1, PINF2, QUICK, THREE_GLUED,
-                             THREE_GLUED_CASES, THREE_GLUED_CENTERED_CASE,
+from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_CASES, LAMPLIGHTER_Z,
+                             LITERATURE_DOCK, MINF1, MINF2, PINF1, PINF2,
+                             QUICK, THREE_GLUED, THREE_GLUED_CASES,
                              THREE_GLUED_MODEL, TP_MINF, TP_PINF, TWO_POINT,
                              TWO_POINT_CASES, TWO_POINT_MODEL, UP_INF,
-                             down, negative_tails_product,
+                             down, lamp_schedule, negative_tails_product,
                              three_glued_expected_hull,
-                             two_point_expected_hull, up)
+                             two_point_expected_hull, up, z_schedule)
 from meandyn.groups import IntShift, Lamp, identity, multiply
 from meandyn.spaces import (Ball, Point, PointSet, ProductOf, act, embed,
                             metric, truncate)
@@ -208,14 +208,12 @@ def test_criterion_12_property_suites():
 
     # detector verdicts for the registered off-diagonal pairs agree
     # across formulations, and each rigid positive implies the rest
-    cert_sets = []
-    for case in TWO_POINT_CASES:
-        cert_sets.append(case.run(TWO_POINT, QUICK))
-    for case in THREE_GLUED_CASES:
-        cert_sets.append(case.run(THREE_GLUED, QUICK))
-    cert_sets.append(THREE_GLUED_CENTERED_CASE.run(THREE_GLUED, QUICK))
-    lcases, ks = gallery.lamplighter_cases(QUICK)
-    cert_sets.append(gallery.run_lamplighter_case(lcases[0], QUICK, ks))
+    cert_sets = [case.run(space, schedule(QUICK))
+                 for space, schedule, cases in (
+                     (TWO_POINT, z_schedule, TWO_POINT_CASES),
+                     (THREE_GLUED, z_schedule, THREE_GLUED_CASES),
+                     (LAMPLIGHTER, lamp_schedule, LAMPLIGHTER_CASES[:1]))
+                 for case in cases]
     for certs in cert_sets:
         if "swsm_f" in certs:
             ok = ok and certs["swsm_f"].verdict == certs["srjms_f"].verdict

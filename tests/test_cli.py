@@ -75,6 +75,21 @@ def test_budget_exit_code():
     assert "budget" in r.stderr
 
 
+def test_detect_honours_budget():
+    r = run("detect", "--system", "two-point", "--pair", "+inf^1;-inf^1",
+            "--budget", "1")
+    assert r.returncode == 3
+    assert "budget" in r.stderr
+
+
+@pytest.mark.parametrize("cmd", [["reproduce"],
+                                 ["icer", "--system", "two-point"]])
+def test_budget_is_rejected_where_unused(cmd):
+    r = run(*cmd, "--budget", "1")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --budget" in r.stderr
+
+
 def test_reproduce_quick_and_determinism():
     r1 = run("reproduce", "--profile", "quick", "--format", "json")
     r2 = run("reproduce", "--profile", "quick", "--format", "json")

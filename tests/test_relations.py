@@ -316,7 +316,7 @@ LIMITS = (TP_PINF, TP_MINF)
 SCHEDULED = {
     "srjms_f": lambda radii, ks: detect_srjms_f(
         TWO_POINT, LIMITS, ZInitial(), _limits_witness, radii, ks,
-        ns=(10, 20)),
+        ns=(10, 15, 20)),
     "swsm_f": lambda radii, ks: detect_swsm_f(
         TWO_POINT, LIMITS, ZInitial(), _limits_witness, radii, ks, (10, 20)),
     "qrms_f": lambda radii, ks: detect_qrms_f(
@@ -343,6 +343,25 @@ def test_schedule_rejects_empty_witness_indices(kind):
 def test_schedule_accepts_generator_witness_indices(kind):
     detect = SCHEDULED[kind]
     assert detect(RADII, iter(KS)).to_json() == detect(RADII, KS).to_json()
+
+
+def test_srjms_rejects_ns_not_matching_ks():
+    with pytest.raises(ValueError, match="ns has 2 entries for 3"):
+        detect_srjms_f(TWO_POINT, LIMITS, ZInitial(), _limits_witness, RADII,
+                       KS, ns=(10, 20))
+
+
+def test_banach_accepts_generator_translates():
+    translates = [IntShift(t) for t in range(-40, 41, 4)]
+
+    def detect(ts):
+        return detect_qrms_banach(TWO_POINT, LIMITS, ZInitial(),
+                                  _limits_witness, RADII, KS, n=10,
+                                  translates=ts)
+
+    want = detect(translates)
+    assert want.verdict == POSITIVE
+    assert detect(iter(translates)).to_json() == want.to_json()
 
 
 def test_finite_model_validates_closure():
