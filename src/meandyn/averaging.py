@@ -10,13 +10,6 @@ from fractions import Fraction
 from . import folner, pushforward
 from .spaces import metric
 
-DEFAULT_WINDOWS = {folner.LampBox: (1, 12)}
-
-
-def default_window(family):
-    return DEFAULT_WINDOWS.get(type(family), (1, 200))
-
-
 def cesaro_metric(space, x, y, family, n, budget=folner.ATOM_BUDGET):
     """(1/|F_n|) * sum over g in F_n of d(g.x, g.y), exact."""
     return pushforward.means(space, (x, y), family, [n],
@@ -38,11 +31,9 @@ class AverageProfile:
         return [(lo + i, v) for i, v in enumerate(self.values)]
 
 
-def besicovitch_profile(space, x, y, family, window=None, budget=folner.ATOM_BUDGET):
+def besicovitch_profile(space, x, y, family, window, budget=folner.ATOM_BUDGET):
     """Averages for n across the window; the upper-half maximum stands
     in for the limsup."""
-    if window is None:
-        window = default_window(family)
     lo, hi = window
     values = [cesaro_metric(space, x, y, family, n, budget)
               for n in folner.window_indices(window)]
@@ -53,22 +44,6 @@ def besicovitch_profile(space, x, y, family, window=None, budget=folner.ATOM_BUD
     return AverageProfile(family, (x, y), (lo, hi), values, tail_sup, stabilized)
 
 
-def weyl_estimate(space, x, y, families, window=None, budget=folner.ATOM_BUDGET):
-    """Supremum of the Besicovitch estimates over the listed families.
-    A finite list under-approximates the true supremum, so this is an
-    estimate from below."""
-    best = None
-    for fam in families:
-        prof = besicovitch_profile(space, x, y, fam,
-                                   window or default_window(fam), budget)
-        if best is None or prof.tail_sup > best[0]:
-            best = (prof.tail_sup, fam, prof)
-    if best is None:
-        raise ValueError("families is empty: weyl_estimate needs at least "
-                         "one family")
-    return {"value": best[0], "family": best[1], "profile": best[2]}
-
-
 @dataclass
 class MecReport:
     verdict: str          # CONSISTENT-WITH-MEC | VIOLATION
@@ -77,8 +52,8 @@ class MecReport:
     witness: object       # first violating approach index, if any
 
 
-def mec_probe(space, family, limit, approach, epsilon=Fraction(1, 100),
-              window=None, budget=folner.ATOM_BUDGET):
+def mec_probe(space, family, limit, approach, window, epsilon=Fraction(1, 100),
+              budget=folner.ATOM_BUDGET):
     """Mean-equicontinuity probe at `limit`.
 
     `approach` is a list of points, or of point pairs, converging to
@@ -87,8 +62,7 @@ def mec_probe(space, family, limit, approach, epsilon=Fraction(1, 100),
     approach; a late index whose estimate stays above epsilon is a
     violation witness.
     """
-    if window is not None:
-        folner.window_indices(window)
+    folner.window_indices(window)
     ests = []
     d_lim = []  # exact distances to the limit; ests carries them as floats
     witness = None

@@ -13,6 +13,7 @@ from fractions import Fraction
 from . import averaging, density, folner, gallery, measures, spaces
 from .folner import BudgetError, LampBox, ZCentered, ZInitial, ZShifted
 from .groups import LAMPLIGHTER, parse, render
+from .relations import encode
 
 FAMILIES = {
     "z-initial": ZInitial,
@@ -44,10 +45,6 @@ def _parsed(parser, text, *args):
         return parser(text, *args)
     except ValueError as e:
         raise SystemExit2("cannot read %r: %s" % (text, e))
-
-
-def _frac(v):
-    return {"fraction": str(v), "float": float(v)} if isinstance(v, Fraction) else v
 
 
 def _emit(obj):
@@ -97,10 +94,10 @@ def cmd_folner(args):
     if args.defect:
         group = folner.group_of_family(fam)
         K = [_parsed(parse, t, group) for t in args.defect.split(";")]
-        out["defect"] = _frac(folner.defect(fam, args.n, K, args.budget))
+        out["defect"] = encode(folner.defect(fam, args.n, K, args.budget))
     if args.bound:
         g = _parsed(parse, args.bound, LAMPLIGHTER)
-        out["lamp_defect_bound"] = _frac(folner.lamp_defect_bound(g, args.n))
+        out["lamp_defect_bound"] = encode(folner.lamp_defect_bound(g, args.n))
     _emit(out)
     return 0
 
@@ -116,8 +113,8 @@ def cmd_avg(args):
         averaging.profile_to_csv(prof, args.csv)
     _emit({"system": args.system, "family": args.family,
            "window": list(prof.window),
-           "values": [_frac(v) for v in prof.values],
-           "tail_sup": _frac(prof.tail_sup),
+           "values": encode(prof.values),
+           "tail_sup": encode(prof.tail_sup),
            "stabilized": prof.stabilized})
     return 0
 
@@ -133,8 +130,8 @@ def cmd_density(args):
     prof = density.ua_dens_estimate(space, pair, nbhd, fam, _window(args),
                                     args.budget)
     _emit({"system": args.system, "window": list(prof.window),
-           "ratios": [_frac(r) for r in prof.ratios],
-           "tail_max": _frac(prof.tail_max)})
+           "ratios": encode(prof.ratios),
+           "tail_max": encode(prof.tail_max)})
     return 0
 
 

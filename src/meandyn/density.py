@@ -11,27 +11,22 @@ from .groups import IntShift
 from .spaces import act, contains
 
 
-def hits(space, pair, nbhd, elements):
-    """Members of `elements` sending the pair into the neighborhood."""
-    return [g for g in elements if contains(space, nbhd, act(space, g, pair))]
-
-
 @dataclass
 class HittingRecord:
     ratio: Fraction
     count: int
     total: int
-    members: list
 
 
-def hitting_density(space, pair, nbhd, elements, keep_members=False):
+def hitting_density(space, pair, nbhd, elements):
+    """Share of `elements` sending the pair into the neighborhood, one
+    element at a time: the enumerating reference for the kernel."""
     els = list(elements)
     if not els:
         raise ValueError("elements is empty: hitting_density needs a "
                          "non-empty element list")
-    got = hits(space, pair, nbhd, els)
-    return HittingRecord(Fraction(len(got), len(els)), len(got), len(els),
-                         got if keep_members else [])
+    count = sum(1 for g in els if contains(space, nbhd, act(space, g, pair)))
+    return HittingRecord(Fraction(count, len(els)), count, len(els))
 
 
 @dataclass

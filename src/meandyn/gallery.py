@@ -252,6 +252,18 @@ def _case_rows(space, cases, schedule):
     return rows
 
 
+def _support_row(name, space, starts, families, n, limits):
+    est = measures.support_union_estimate(space, starts, families, n)
+    return _row(name, set(est["points"]) == set(limits), repr(est["points"]))
+
+
+def _mec_row(space, approach, profile):
+    rep = averaging.mec_probe(space, ZShifted(), UP_INF, approach,
+                              window=(1, profile.z_hi))
+    return _row("mean-equicontinuity-probe",
+                rep.verdict == "CONSISTENT-WITH-MEC", rep.verdict)
+
+
 def _rows_literature_dock(system, profile):
     space = system.space
     rows = []
@@ -266,18 +278,13 @@ def _rows_literature_dock(system, profile):
     rows.append(_row("isolated-diagonal-density-vanishes", ok))
 
     inf = Point(O_INF, 0)
-    sched = system.schedule(profile)
-    cert = relations.detect_srjms_f(
-        space, (inf, inf), ZInitial(), lambda k: (Point(k, 0), inf),
-        sched.radii, sched.ks, sched.srjms_ns)
+    case = PairCase((inf, inf), lambda k: (Point(k, 0), inf), ZInitial())
+    cert = case.certificate("srjms_f", space, system.schedule(profile))
     rows.append(_row("fixed-point-diagonal-positive",
                      cert.verdict == relations.POSITIVE,
                      "c=%s" % cert.threshold))
-
-    est = measures.support_union_estimate(
-        space, [Point(0, 0), inf], [ZInitial()], profile.measure_n)
-    rows.append(_row("support-is-infinity", est["points"] == [inf],
-                     repr(est["points"])))
+    rows.append(_support_row("support-is-infinity", space, [Point(0, 0), inf],
+                             [ZInitial()], profile.measure_n, [inf]))
     return rows
 
 
@@ -292,17 +299,10 @@ def _rows_lamplighter_z(system, profile):
     prof2 = averaging.besicovitch_profile(space, up(0), down(0), ZShifted(), win)
     rows.append(_row("cross-copy-mean-distance-is-one",
                      prof2.tail_sup == 1))
-    rep = averaging.mec_probe(space, ZShifted(), UP_INF,
-                              [up(2), up(5), up(10), up(20)],
-                              epsilon=Fraction(1, 100), window=win)
-    rows.append(_row("mean-equicontinuity-probe", rep.verdict ==
-                     "CONSISTENT-WITH-MEC", rep.verdict))
-    est = measures.support_union_estimate(
-        space, [up(0), down(0), UP_INF, DOWN_INF], [ZShifted()],
-        profile.measure_n)
-    rows.append(_row("support-is-both-limits",
-                     set(est["points"]) == {UP_INF, DOWN_INF},
-                     repr(est["points"])))
+    rows.append(_mec_row(space, [up(2), up(5), up(10), up(20)], profile))
+    rows.append(_support_row("support-is-both-limits", space,
+                             [up(0), down(0), UP_INF, DOWN_INF], [ZShifted()],
+                             profile.measure_n, [UP_INF, DOWN_INF]))
     return rows
 
 
@@ -367,22 +367,15 @@ def _rows_lamplighter(system, profile):
                      all(c.verdict == relations.POSITIVE
                          for c in sep.values()),
                      str({k: c.verdict for k, c in sep.items()})))
-    diag = system.cases[1].run(space, sched)
+    diag = system.cases[1].certificate("qrms_f", space, sched)
     rows.append(_row("fixed-diagonal-positive",
-                     diag["qrms_f"].verdict == relations.POSITIVE))
+                     diag.verdict == relations.POSITIVE))
 
-    rep = averaging.mec_probe(space, ZShifted(), UP_INF,
-                              [up(5), up(10), up(20)],
-                              epsilon=Fraction(1, 100), window=(1, profile.z_hi))
-    rows.append(_row("mean-equicontinuity-probe",
-                     rep.verdict == "CONSISTENT-WITH-MEC", rep.verdict))
-
-    est = measures.support_union_estimate(
-        space, [up(0), down(0), UP_INF, DOWN_INF], [LampBox(), ZShifted()],
-        nmax)
-    rows.append(_row("support-is-both-limits",
-                     set(est["points"]) == {UP_INF, DOWN_INF},
-                     repr(est["points"])))
+    rows.append(_mec_row(space, [up(5), up(10), up(20)], profile))
+    rows.append(_support_row("support-is-both-limits", space,
+                             [up(0), down(0), UP_INF, DOWN_INF],
+                             [LampBox(), ZShifted()], nmax,
+                             [UP_INF, DOWN_INF]))
     return rows
 
 
@@ -417,12 +410,10 @@ def _rows_two_point(system, profile):
     rows.append(_row("limit-measure-is-corner-dirac",
                      d < half and d < Fraction(6, 100), "w1=%s" % float(d)))
 
-    est = measures.support_union_estimate(
-        space, [Point(0, 1), TP_PINF, TP_MINF], [ZInitial(), ZCentered()],
-        profile.measure_n)
-    rows.append(_row("support-is-both-limits",
-                     set(est["points"]) == {TP_PINF, TP_MINF},
-                     repr(est["points"])))
+    rows.append(_support_row("support-is-both-limits", space,
+                             [Point(0, 1), TP_PINF, TP_MINF],
+                             [ZInitial(), ZCentered()], profile.measure_n,
+                             [TP_PINF, TP_MINF]))
     return rows
 
 
@@ -481,13 +472,11 @@ def _rows_three_glued(system, profile):
                       for p, w in heavy.items()})
     rows.append(_row("centered-limit-splits-half-half", ok, detail))
 
-    est = measures.support_union_estimate(
-        space, [Point(0, 1), Point(0, 2), Point(0, 3),
-                MINF1, PINF1, MINF2, PINF2],
-        [ZInitial(), ZCentered()], profile.measure_n)
-    rows.append(_row("support-is-all-four-limits",
-                     set(est["points"]) == {MINF1, PINF1, MINF2, PINF2},
-                     repr(est["points"])))
+    limits = [MINF1, PINF1, MINF2, PINF2]
+    rows.append(_support_row("support-is-all-four-limits", space,
+                             [Point(0, 1), Point(0, 2), Point(0, 3), *limits],
+                             [ZInitial(), ZCentered()], profile.measure_n,
+                             limits))
     return rows
 
 
@@ -554,6 +543,9 @@ class Report:
 
 def verify(name, profile="quick"):
     if isinstance(profile, str):
+        if profile not in PROFILES:
+            raise ValueError("unknown profile %r; have %s"
+                             % (profile, sorted(PROFILES)))
         profile = PROFILES[profile]
     system = _system(name)
     return Report(name, profile.name, system.rows(system, profile))

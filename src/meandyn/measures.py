@@ -1,6 +1,6 @@
 """Atomic probability measures on a space or on its square, with exact
-rational weights, pushforwards, empirical averages along Folner sets,
-and an exact Wasserstein-1 distance.
+rational weights, empirical averages along Folner sets, and an exact
+Wasserstein-1 distance.
 
 The transport solver runs two routes: a closed-form sweep when the
 joint support is isometric to a subset of the line (always the case
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import folner, spaces
 from .pushforward import images
-from .spaces import act, canonical, component, embed, metric, sort_key
+from .spaces import canonical, component, embed, metric, sort_key
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,6 @@ class AtomicMeasure:
 
     def total(self):
         return sum(w for _, w in self.atoms)
-
-    def support(self, weight_tol=Fraction(0)):
-        return [p for p, w in self.atoms if w > weight_tol]
 
     def mass(self, nbhd):
         return sum(w for p, w in self.atoms if spaces.contains(self.space, nbhd, p))
@@ -71,10 +68,6 @@ def empirical(space, start, family, n, budget=folner.ATOM_BUDGET):
     return measure(space, [(p, Fraction(c, total)) for p, c in counts.items()])
 
 
-def pushforward(space, g, m):
-    return measure(space, [(act(space, g, p), w) for p, w in m.atoms])
-
-
 def combine(parts):
     """Convex combination of (coefficient, measure) pairs."""
     parts = list(parts)
@@ -95,16 +88,13 @@ MAX_ATOMS = 4000  # w1 raises BudgetError above this; atoms are never merged
 
 
 def _line_positions(space, points):
-    """Chain coordinates if the points sit isometrically on a line,
-    else None.  `points` must be sorted by sort_key."""
-    if not points:
-        return []
-    pairs = isinstance(points[0], tuple)
-    if not pairs:
-        comps = {component(space, p) for p in points}
-        if len(comps) == 1:
+    """Chain coordinates if the points lie in one connected piece, or
+    are pairs whose legs each stay in one piece and move monotonically
+    together; else None.  `points` must be sorted by sort_key."""
+    if not isinstance(points[0], tuple):
+        if len({component(space, p) for p in points}) == 1:
             return [embed(space, p) for p in points]
-        return _verified_chain(space, points)
+        return None
     comps = {(component(space, p[0]), component(space, p[1])) for p in points}
     if len(comps) == 1:
         e1 = [embed(space, p[0]) for p in points]
@@ -114,25 +104,12 @@ def _line_positions(space, points):
             for i in range(1, len(points)):
                 pos.append(pos[-1] + abs(e1[i] - e1[i - 1]) + abs(e2[i] - e2[i - 1]))
             return pos
-    return _verified_chain(space, points)
+    return None
 
 
 def _monotone(vals):
     return (all(a <= b for a, b in zip(vals, vals[1:]))
             or all(a >= b for a, b in zip(vals, vals[1:])))
-
-
-def _verified_chain(space, points):
-    if len(points) > 600:  # quadratic check; big instances take the flow route
-        return None
-    pos = [Fraction(0)]
-    for i in range(1, len(points)):
-        pos.append(pos[-1] + metric(space, points[i - 1], points[i]))
-    for i in range(len(points)):
-        for j in range(i + 2, len(points)):
-            if metric(space, points[i], points[j]) != pos[j] - pos[i]:
-                return None
-    return pos
 
 
 def w1(mu, nu):
@@ -248,13 +225,6 @@ def _w1_flow(space, mu, nu):
 
 
 # ----------------------------------------------------- limits and clustering
-
-def invariance_defect(space, m, generators):
-    generators = list(generators)
-    if not generators:
-        raise ValueError("invariance_defect needs at least one generator")
-    return max(w1(pushforward(space, g, m), m) for g in generators)
-
 
 def snap_to_limits(space, m, radius):
     """Merge each atom into the limit point(s) within `radius` of it

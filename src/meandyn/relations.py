@@ -38,24 +38,26 @@ class Certificate:
     params: dict = field(default_factory=dict)
 
     def to_json(self):
-        def enc(v):
-            if isinstance(v, Fraction):
-                return {"fraction": str(v), "float": float(v)}
-            if isinstance(v, spaces.Point):
-                return render_point(v)
-            if isinstance(v, tuple):
-                return [enc(x) for x in v]
-            if isinstance(v, dict):
-                return {str(k): enc(x) for k, x in v.items()}
-            if isinstance(v, list):
-                return [enc(x) for x in v]
-            if isinstance(v, (int, float, str, bool)) or v is None:
-                return v
-            return repr(v)
+        return {"kind": self.kind, "pair": encode(self.pair),
+                "verdict": self.verdict, "threshold": encode(self.threshold),
+                "witnesses": encode(self.witnesses),
+                "params": encode(self.params)}
 
-        return {"kind": self.kind, "pair": enc(self.pair),
-                "verdict": self.verdict, "threshold": enc(self.threshold),
-                "witnesses": enc(self.witnesses), "params": enc(self.params)}
+
+def encode(v):
+    """JSON form of a value: a Fraction as its exact text and a float,
+    a point by its text form, containers entry by entry."""
+    if isinstance(v, Fraction):
+        return {"fraction": str(v), "float": float(v)}
+    if isinstance(v, spaces.Point):
+        return render_point(v)
+    if isinstance(v, (tuple, list)):
+        return [encode(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): encode(x) for k, x in v.items()}
+    if isinstance(v, (int, float, str, bool)) or v is None:
+        return v
+    return repr(v)
 
 
 # densities below this are treated as finite-size noise, not evidence

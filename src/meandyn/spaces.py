@@ -84,9 +84,12 @@ def canonical(space, p):
     return p
 
 
-def _check_copy(space, p):
+def _checked(space, p):
+    """The canonical form of `p`, whose copy must belong to the space."""
+    p = canonical(space, p)
     if p.copy not in space.copies:
         raise ValueError("copy %r not in space %r" % (p.copy, space.name or space.kind))
+    return p
 
 
 def _layout_of(space, tag):
@@ -109,9 +112,7 @@ def _psi(s):
 
 def embed(space, p):
     """Line coordinate of a point; exact rational."""
-    p = canonical(space, p)
-    _check_copy(space, p)
-    return _line_coordinate(space, p)
+    return _line_coordinate(space, _checked(space, p))
 
 
 def _line_coordinate(space, p):
@@ -131,11 +132,14 @@ def _line_coordinate(space, p):
 
 def component(space, p):
     """Identifier of the connected piece a point lies in."""
-    p = canonical(space, p)
-    _check_copy(space, p)
+    return _piece(space, _checked(space, p))
+
+
+def _piece(space, p):
+    # p is canonical and its copy is in the space
     if space.kind == ONE_POINT:
         return space.copies.index(p.copy)
-    return _component_of_tag(space, p.copy)
+    return _components(space)[p.copy]
 
 
 @lru_cache(maxsize=None)
@@ -153,10 +157,6 @@ def _components(space):
     return {tag: space.copies.index(find(tag)) for tag in space.copies}
 
 
-def _component_of_tag(space, tag):
-    return _components(space)[tag]
-
-
 def metric(space, p, q):
     """Distance; accepts two points or two point pairs (sum metric)."""
     if isinstance(p, tuple):
@@ -166,13 +166,11 @@ def metric(space, p, q):
 
 @lru_cache(maxsize=1_000_000)
 def _metric1(space, p, q):
-    p = canonical(space, p)
-    q = canonical(space, q)
+    p, q = _checked(space, p), _checked(space, q)
     if p == q:
         return Fraction(0)
-    cp, cq = component(space, p), component(space, q)
-    if cp == cq:
-        return abs(embed(space, p) - embed(space, q))
+    if _piece(space, p) == _piece(space, q):
+        return abs(_line_coordinate(space, p) - _line_coordinate(space, q))
     return Fraction(abs(space.copies.index(p.copy) - space.copies.index(q.copy)))
 
 
@@ -190,8 +188,7 @@ def nearest_distance(space, left, right):
     tags = (set(), set())  # per side: (component, copy index)
     for side, points in enumerate((left, right)):
         for p in points:
-            p = canonical(space, p)
-            _check_copy(space, p)
+            p = _checked(space, p)
             i = space.copies.index(p.copy)
             c = i if pieces is None else pieces[p.copy]
             x = _line_coordinate(space, p)
@@ -214,8 +211,7 @@ def act(space, g, p):
     """Apply a group element to a point or a point pair (diagonally)."""
     if isinstance(p, tuple):
         return tuple(act(space, g, q) for q in p)
-    p = canonical(space, p)
-    _check_copy(space, p)
+    p = _checked(space, p)
     if space.group == LAMPLIGHTER and isinstance(g, IntShift):
         g = Lamp(g.a, ())  # pure shifts embed into the lamplighter
     if isinstance(g, IntShift):
@@ -255,8 +251,8 @@ def truncate(space, n):
 def sort_key(space, p):
     if isinstance(p, tuple):
         return tuple(sort_key(space, q) for q in p)
-    p = canonical(space, p)
-    return (component(space, p), embed(space, p),
+    p = _checked(space, p)
+    return (_piece(space, p), _line_coordinate(space, p),
             space.copies.index(p.copy), str(p.coord))
 
 
@@ -286,8 +282,7 @@ def parse_point(text, space=None):
         coord = c if c in _LIMITS else int(c)
         p = Point(coord, int(tag))
     if space is not None:
-        p = canonical(space, p)
-        _check_copy(space, p)
+        p = _checked(space, p)
     return p
 
 
@@ -295,33 +290,6 @@ def point_to_json(p):
     if isinstance(p, tuple):
         return [point_to_json(q) for q in p]
     return {"coord": str(p.coord), "copy": p.copy}
-
-
-def point_from_json(obj):
-    if isinstance(obj, list):
-        return tuple(point_from_json(o) for o in obj)
-    c = obj["coord"]
-    return Point(c if c in _LIMITS else int(c), int(obj["copy"]))
-
-
-def space_to_json(space):
-    return {
-        "kind": space.kind,
-        "copies": list(space.copies),
-        "group": space.group,
-        "action": space.action,
-        "layout": [list(e) for e in space.layout],
-        "gluings": [[point_to_json(a), point_to_json(b)] for a, b in space.gluings],
-        "name": space.name,
-    }
-
-
-def space_from_json(obj):
-    gluings = tuple((point_from_json(a), point_from_json(b))
-                    for a, b in obj.get("gluings", []))
-    return Space(obj["kind"], tuple(obj["copies"]), obj["group"], obj["action"],
-                 layout=tuple(tuple(e) for e in obj.get("layout", [])),
-                 gluings=gluings, name=obj.get("name", ""))
 
 
 # ------------------------------------------------------------- neighborhoods

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from meandyn import averaging
 from meandyn.averaging import (besicovitch_profile, cesaro_metric, mec_probe,
-                               profile_to_csv, weyl_estimate)
+                               profile_to_csv)
 from meandyn.folner import LampBox, ZCentered, ZInitial, ZShifted
 from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, MINF2, THREE_GLUED,
                              TWO_POINT, UP_INF, down, up)
@@ -50,23 +49,13 @@ def test_profile_tail_and_stabilization():
     assert prof2.rows()[0][0] == 1
 
 
-def test_weyl_is_sup_of_listed_families():
-    est = weyl_estimate(TWO_POINT, Point(0, 1), Point(3, 1),
-                        [ZInitial(), ZCentered()], (1, 60))
-    p1 = besicovitch_profile(TWO_POINT, Point(0, 1), Point(3, 1), ZInitial(),
-                             (1, 60))
-    p2 = besicovitch_profile(TWO_POINT, Point(0, 1), Point(3, 1), ZCentered(),
-                             (1, 60))
-    assert est["value"] == max(p1.tail_sup, p2.tail_sup)
-
-
 def test_interleaved_estimate_dominates_components():
     fam = folner.interleave([ZInitial(), ZCentered()])
     x, y = Point(0, 1), Point(3, 1)
-    est = weyl_estimate(TWO_POINT, x, y, [fam], (1, 80))
+    est = besicovitch_profile(TWO_POINT, x, y, fam, (1, 80))
     for base in (ZInitial(), ZCentered()):
         prof = besicovitch_profile(TWO_POINT, x, y, base, (1, 40))
-        assert est["value"] >= prof.tail_sup
+        assert est.tail_sup >= prof.tail_sup
 
 
 def test_mec_probe_consistent():
@@ -110,11 +99,6 @@ def test_mec_probe_rejects_an_empty_approach():
         mec_probe(LAMPLIGHTER_Z, ZShifted(), UP_INF, [], window=(1, 4))
 
 
-def test_default_window_keeps_lamp_box_in_budget():
-    lo, hi = averaging.default_window(LampBox())
-    assert folner.cardinality(LampBox(), hi) <= folner.ATOM_BUDGET
-
-
 def test_csv_export(tmp_path):
     prof = besicovitch_profile(TWO_POINT, Point(0, 1), Point(3, 1),
                                ZInitial(), (1, 5))
@@ -135,8 +119,3 @@ def test_mec_probe_rejects_an_inverted_window():
     with pytest.raises(ValueError, match=r"window \(5, 3\) is empty"):
         mec_probe(LAMPLIGHTER_Z, ZShifted(), UP_INF, [up(2), up(5)],
                   window=(5, 3))
-
-
-def test_weyl_rejects_empty_families():
-    with pytest.raises(ValueError, match="families is empty"):
-        weyl_estimate(TWO_POINT, Point(0, 1), Point(3, 1), [])

@@ -4,24 +4,24 @@ from fractions import Fraction
 import pytest
 
 from meandyn import density, folner, measures
-from meandyn.density import (hitting_density, hits, ua_dens_estimate,
+from meandyn.density import (hitting_density, ua_dens_estimate,
                              ub_dens_estimate)
 from meandyn.folner import ZCentered, ZInitial
 from meandyn.gallery import (LITERATURE_DOCK, MINF1, MINF2, THREE_GLUED,
                              TP_MINF, TP_PINF, TWO_POINT)
 from meandyn.groups import IntShift
-from meandyn.spaces import Ball, Point, truncate
+from meandyn.spaces import Ball, Point, act, contains, truncate
 
 
 def test_hits_members():
     u = Ball((TP_PINF, TP_MINF), Fraction(1, 5))
     pair = (Point(-3, 1), TP_MINF)
     els = folner.elements(ZInitial(), 30)
-    got = hits(TWO_POINT, pair, u, els)
+    got = [g for g in els if contains(TWO_POINT, u, act(TWO_POINT, g, pair))]
     # the first leg needs to climb past the radius before entering
     assert got and all(g.a >= 5 for g in got)
-    rec = hitting_density(TWO_POINT, pair, u, els, keep_members=True)
-    assert rec.members == got
+    rec = hitting_density(TWO_POINT, pair, u, els)
+    assert rec.count == len(got) and rec.total == 30
     assert rec.ratio == Fraction(len(got), 30)
 
 

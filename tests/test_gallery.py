@@ -48,3 +48,5 @@ def test_build_and_unknown_system():
         gallery.build("nonsense")
     with pytest.raises(ValueError):
         gallery.verify("nonsense")
+    with pytest.raises(ValueError, match=r"'bogus'; have \['full', 'quick'\]"):
+        gallery.verify("two-point", "bogus")

@@ -10,10 +10,9 @@ from meandyn.folner import LampBox, ZCentered, ZInitial, ZShifted
 from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, MINF1, MINF2, PINF1,
                              PINF2, THREE_GLUED, TP_MINF, TP_PINF, TWO_POINT,
                              down, lamplighter_corner_measure, up)
-from meandyn.groups import IntShift, Lamp
+from meandyn.groups import Lamp
 from meandyn.measures import (cluster_detect, combine, dirac, empirical,
-                              heavy_atoms, invariance_defect, measure,
-                              pushforward, snap_to_limits,
+                              heavy_atoms, measure, snap_to_limits,
                               support_union_estimate, w1)
 from meandyn.spaces import Ball, Point, metric, truncate
 
@@ -31,17 +30,6 @@ def test_measure_merges_and_normalizes():
 def test_empirical_weights_exact():
     m = empirical(TWO_POINT, Point(0, 1), ZCentered(), 3)
     assert dict(m.atoms) == {Point(s, 1): Fraction(1, 7) for s in range(-3, 4)}
-
-
-def test_pushforward_and_invariance():
-    m = empirical(TWO_POINT, Point(0, 1), ZInitial(), 10)
-    moved = pushforward(TWO_POINT, IntShift(1), m)
-    assert dict(moved.atoms) == {Point(s, 1): Fraction(1, 10)
-                                 for s in range(1, 11)}
-    d = invariance_defect(TWO_POINT, m, [IntShift(1)])
-    assert 0 < d == w1(moved, m)
-    fixed = dirac(TWO_POINT, TP_PINF)
-    assert invariance_defect(TWO_POINT, fixed, [IntShift(1)]) == 0
 
 
 def test_w1_single_atom_closed_form():
@@ -260,8 +248,6 @@ def test_corner_w1_decreases():
 def test_mass_and_support():
     m = empirical(TWO_POINT, Point(0, 1), ZInitial(), 4)
     assert m.mass(Ball(TP_PINF, Fraction(1, 2))) == Fraction(3, 4)
-    assert m.support() == [Point(s, 1) for s in range(4)]
-    assert m.support(Fraction(1, 2)) == []
 
 
 def test_snap_and_heavy_atoms():
@@ -317,10 +303,5 @@ def test_mixed_space_rejected():
 
 
 def test_empty_inputs_are_named():
-    m = dirac(TWO_POINT, TP_PINF)
     with pytest.raises(ValueError, match="combine"):
         combine([])
-    with pytest.raises(ValueError, match="generator"):
-        invariance_defect(TWO_POINT, m, [])
-    with pytest.raises(ValueError, match="generator"):
-        invariance_defect(TWO_POINT, m, iter([]))

@@ -11,9 +11,7 @@ from meandyn.groups import IntShift, Lamp
 from meandyn.spaces import (Ball, M_INF, O_INF, P_INF, Point, PointSet,
                             ProductOf, Tail, act, canonical, contains, embed,
                             metric, nearest_distance, parse_point,
-                            point_from_json,
-                            point_to_json, render_point, space_from_json,
-                            space_to_json, truncate)
+                            render_point, truncate)
 
 SPACES = [LITERATURE_DOCK, LAMPLIGHTER_Z, LAMPLIGHTER, TWO_POINT, THREE_GLUED]
 
@@ -110,6 +108,16 @@ def test_wrong_group_element_rejected():
         embed(TWO_POINT, Point(0, 9))
 
 
+def test_a_point_outside_the_space_is_rejected_even_against_itself():
+    stray = Point(0, 9)
+    with pytest.raises(ValueError, match="copy 9"):
+        metric(TWO_POINT, stray, stray)
+    with pytest.raises(ValueError, match="copy 9"):
+        contains(TWO_POINT, Ball(stray, Fraction(1, 2)), stray)
+    with pytest.raises(ValueError, match="copy 9"):
+        metric(TWO_POINT, (Point(0, 1), stray), (Point(0, 1), stray))
+
+
 def test_point_text_roundtrip():
     for text, expect in [("5^1", Point(5, 1)), ("+inf^2", Point(P_INF, 2)),
                          ("inf^0", Point(O_INF, 0)), ("up_3", up(3)),
@@ -118,18 +126,6 @@ def test_point_text_roundtrip():
     pair = parse_point("-3^1;+inf^2")
     assert pair == (Point(-3, 1), Point(P_INF, 2))
     assert parse_point(render_point(pair)) == pair
-
-
-def test_point_json_roundtrip():
-    for p in truncate(THREE_GLUED, 2):
-        assert point_from_json(point_to_json(p)) == p
-    pair = (up(1), down(O_INF))
-    assert point_from_json(point_to_json(pair)) == pair
-
-
-def test_space_json_roundtrip():
-    for s in SPACES:
-        assert space_from_json(space_to_json(s)) == s
 
 
 def test_neighborhoods():
