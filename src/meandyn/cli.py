@@ -265,9 +265,28 @@ def build_parser():
     return ap
 
 
+# options whose value is a point or a pair, such as '-inf^1;+inf^1'
+POINT_OPTIONS = ("--pair", "--center", "--start", "--x", "--y")
+
+
+def _joined(argv):
+    """argv with the separate value of a point option joined to it by
+    '=': argparse would take a value that begins with '-' for an
+    option.  A value that begins with '--' is left alone, so a missing
+    value is still reported as one."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in POINT_OPTIONS and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except BudgetError as e:

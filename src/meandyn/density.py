@@ -44,7 +44,8 @@ def hitting_ratios(space, pair, nbhd, family, ns, budget=folner.ATOM_BUDGET):
     """|hits in F_n| / |F_n| for each n in `ns`, read from the
     pushforward kernel; `hitting_density` over `folner.elements` is the
     enumerating reference."""
-    return pushforward.means(space, pair, family, ns, _hit(space, nbhd), budget)
+    return pushforward.hit_means(space, pair, nbhd, family,
+                                 [(n, None) for n in ns], budget)
 
 
 def ua_dens_estimate(space, pair, nbhd, family, window, budget=folner.ATOM_BUDGET):
@@ -64,15 +65,12 @@ def ub_dens_estimate(space, pair, nbhd, shape, n, translates=None,
     if translates is None:
         translates = [IntShift(t) for t in range(-5 * n, 5 * n + 1)]
     translates = list(translates)
-    ratios = pushforward.translate_means(space, pair, shape, n, translates,
-                                         _hit(space, nbhd), budget)
+    folner.cardinality(shape, n, budget)  # checked even with no translates
+    ratios = pushforward.hit_means(space, pair, nbhd, shape,
+                                   [(n, t) for t in translates], budget)
     best = (Fraction(0), None)
     for t, r in zip(translates, ratios):
         if r > best[0]:
             best = (r, t)
     return {"sup": best[0], "argmax": best[1], "shape_n": n,
             "translates": len(translates)}
-
-
-def _hit(space, nbhd):
-    return lambda image: contains(space, nbhd, image)

@@ -207,6 +207,31 @@ def nearest_distance(space, left, right):
     return min(gaps)
 
 
+def limit_distance(space, c, p, sign):
+    """The limit of metric(space, c, a.p) as the integer shift a tends
+    to sign * infinity; exact.
+
+    A limit point p stays where it is.  A finite p runs along its own
+    copy into the end the action sends it to (+inf or -inf of that copy
+    on a two-point interval, inf on a one-point circle), and the
+    distance converges to the line distance from c to that end, or
+    stays the copy separation when c lies in another piece.  A finite
+    point that a gluing aliases is not supported."""
+    c, p = _checked(space, c), _checked(space, p)
+    if p.is_limit():
+        return _metric1(space, c, p)
+    if _piece(space, c) != _piece(space, p):
+        return Fraction(abs(space.copies.index(c.copy)
+                            - space.copies.index(p.copy)))
+    if space.kind == ONE_POINT:
+        end = O_INF
+    else:
+        forward = sign > 0 if space.action == TRANSLATE else sign < 0
+        end = P_INF if forward else M_INF
+    return abs(_line_coordinate(space, c)
+               - _line_coordinate(space, Point(end, p.copy)))
+
+
 def act(space, g, p):
     """Apply a group element to a point or a point pair (diagonally)."""
     if isinstance(p, tuple):
@@ -331,7 +356,7 @@ def contains(space, nbhd, p):
     if isinstance(nbhd, PointSet):
         if isinstance(p, tuple):
             raise TypeError("point set queried with a pair")
-        p = canonical(space, p)
+        p = _checked(space, p)
         if p in nbhd.points:
             return True
         if p.is_limit():

@@ -139,3 +139,31 @@ def test_bad_user_input_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:      # rejected by argparse
         cli.main(AVG[:-2] + ["0", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["detect", "--system", "two-point", "--relation", "qrms_f",
+     "--pair", "-inf^1;+inf^1"],
+    ["density", "--system", "two-point", "--pair", "-3^1;-inf^1",
+     "--center", "-inf^1;-inf^1", "--radius", "0.2",
+     "--family", "z-initial", "--window", "1", "30"],
+])
+def test_point_value_may_start_with_a_dash(args):
+    joined = list(args)
+    for option in ("--pair", "--center"):
+        if option in joined:
+            i = joined.index(option)
+            joined[i:i + 2] = [option + "=" + joined[i + 1]]
+    separate, equals = run(*args), run(*joined)
+    assert separate.returncode == equals.returncode == 0
+    assert separate.stdout == equals.stdout
+
+
+def test_unknown_option_is_still_a_usage_error():
+    r = run("detect", "--system", "two-point", "--pair", "-inf^1;+inf^1",
+            "--no-such-option", "-1")
+    assert r.returncode == 2
+    assert "unrecognized arguments" in r.stderr
+    r = run("detect", "--system", "two-point", "--pair", "--profile", "quick")
+    assert r.returncode == 2
+    assert "expected one argument" in r.stderr

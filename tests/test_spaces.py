@@ -143,6 +143,14 @@ def test_neighborhoods():
     assert not contains(s, prod, (Point(-1, 1), Point(2, 2)))
 
 
+def test_point_set_rejects_a_copy_outside_the_space():
+    u = PointSet(frozenset([Point(0, 9)]), (Tail(9, "le", 5),))
+    with pytest.raises(ValueError, match="copy 9"):
+        contains(TWO_POINT, u, Point(-3, 9))
+    # glued aliases are still read in their canonical form
+    assert contains(THREE_GLUED, PointSet(frozenset([PINF1])), Point(P_INF, 3))
+
+
 @given(st.integers(-30, 30), st.integers(-30, 30))
 def test_two_point_embedding_is_order_preserving(a, b):
     if a < b:
