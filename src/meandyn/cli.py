@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -122,10 +121,7 @@ def cmd_avg(args):
 def cmd_density(args):
     space = _space(args)
     pair = _pair(space, args.pair)
-    center = _pair(space, args.center)
-    if not math.isfinite(args.radius):
-        raise SystemExit2("radius must be finite, got %r" % args.radius)
-    nbhd = spaces.Ball(center, Fraction(args.radius).limit_denominator(10 ** 6))
+    nbhd = spaces.Ball(_pair(space, args.center), args.radius)
     fam = _family(args.family, space)
     prof = density.ua_dens_estimate(space, pair, nbhd, fam, _window(args),
                                     args.budget)
@@ -229,7 +225,7 @@ def build_parser():
     p.add_argument("--system", required=True)
     p.add_argument("--pair", required=True, help="pair 'a;b'")
     p.add_argument("--center", required=True, help="ball center pair 'a;b'")
-    p.add_argument("--radius", type=float, default=0.25)
+    p.add_argument("--radius", type=Fraction, default=Fraction(1, 4))
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--window", type=_index, nargs=2, default=[1, 120])
     p.set_defaults(fn=cmd_density)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import folner, pushforward
-from .groups import IntShift
 from .spaces import act, contains
 
 
@@ -56,14 +55,12 @@ def ua_dens_estimate(space, pair, nbhd, family, window, budget=folner.ATOM_BUDGE
     return DensityProfile((lo, hi), ratios, max(ratios[len(ratios) // 2:]))
 
 
-def ub_dens_estimate(space, pair, nbhd, shape, n, translates=None,
+def ub_dens_estimate(space, pair, nbhd, shape, n, translates,
                      budget=folner.ATOM_BUDGET):
     """Upper Banach reading: best density over right translates F_n.g
     of one window shape.  Searching finitely many translates gives an
     estimate from below of the Banach density.  `argmax` is the first
     translate reaching the best density, None when every density is 0."""
-    if translates is None:
-        translates = [IntShift(t) for t in range(-5 * n, 5 * n + 1)]
     translates = list(translates)
     folner.cardinality(shape, n, budget)  # checked even with no translates
     ratios = pushforward.hit_means(space, pair, nbhd, shape,

@@ -20,7 +20,6 @@ element built:
   (k.a+b, E) outside F_n, divided by n+1.  That costs O(|K| n) where
   enumeration costs O(|K| n 2^n).
 
-Interleaved and subsequence families resolve to one of these.
 `elements` still enumerates: it is the reference the closed form is
 tested against, and what `folner --list` prints.
 """
@@ -57,45 +56,12 @@ class LampBox:
     """{ shift^a toggles(b) : {a} | b  subset of  A_n }"""
 
 
-@dataclass(frozen=True)
-class Interleaved:
-    families: tuple
-
-
-@dataclass(frozen=True)
-class Subsequence:
-    base: object
-    indices: tuple
-
-
-def interleave(families):
-    families = tuple(families)
-    if not families:
-        raise ValueError("interleave needs at least one family")
-    groups = {group_of_family(f) for f in families}
-    if len(groups) != 1:
-        raise ValueError("interleaving families of different groups")
-    return Interleaved(families)
-
-
 def group_of_family(family):
     if isinstance(family, LampBox):
         return LAMPLIGHTER
     if isinstance(family, (ZInitial, ZCentered, ZShifted)):
         return INTEGERS
-    if isinstance(family, Interleaved):
-        return group_of_family(family.families[0])
-    if isinstance(family, Subsequence):
-        return group_of_family(family.base)
     raise TypeError("not a Folner family: %r" % (family,))
-
-
-def _split_interleaved(family, n):
-    # round-robin blocks: index k*c + i picks component i at stage k
-    c = len(family.families)
-    i = (n - 1) % c + 1
-    k = (n - i) // c
-    return family.families[i - 1], max(k, 1)
 
 
 def cardinality(family, n, budget=ATOM_BUDGET):
@@ -109,29 +75,11 @@ def cardinality(family, n, budget=ATOM_BUDGET):
         size = n + 1
     elif isinstance(family, LampBox):
         size = (n + 1) * 2 ** (n + 1)
-    elif isinstance(family, Interleaved):
-        base, k = _split_interleaved(family, n)
-        return cardinality(base, k, budget)
-    elif isinstance(family, Subsequence):
-        return cardinality(family.base, family.indices[n - 1], budget)
     else:
         raise TypeError("not a Folner family: %r" % (family,))
     if budget is not None and size > budget:
         raise BudgetError("|F_%d| = %d exceeds budget %d" % (n, size, budget))
     return size
-
-
-def resolve(family, n):
-    """The plain family and index whose set is the n-th set of `family`:
-    interleaved and subsequence families unwrap to one of the four
-    window families.  Call `cardinality` first to check the index."""
-    while True:
-        if isinstance(family, Interleaved):
-            family, n = _split_interleaved(family, n)
-        elif isinstance(family, Subsequence):
-            family, n = family.base, family.indices[n - 1]
-        else:
-            return family, n
 
 
 def window_indices(window):
@@ -158,7 +106,6 @@ def shift_window(family, n):
 def elements(family, n, budget=ATOM_BUDGET):
     """The n-th set, in a fixed deterministic order."""
     cardinality(family, n, budget)
-    family, n = resolve(family, n)
     window = shift_window(family, n)
     if window is not None:
         return [IntShift(a) for a in range(window[0], window[1] + 1)]
@@ -179,7 +126,6 @@ def defect(family, n, K, budget=ATOM_BUDGET):
     controls, and it vanishes iff the family is Folner for K.
     """
     cardinality(family, n, budget)
-    family, n = resolve(family, n)
     window = shift_window(family, n)
     if window is None:
         return _box_defect(n, K)

@@ -256,8 +256,9 @@ class ClusterReport:
 def cluster_detect(measures, tol=1e-3, tail=5):
     """Trailing-stability test: the last measure is the candidate limit
     when all pairwise distances among the last `tail` entries fall
-    below `tol`, decided on the exact distances.  Several interleaved limit points would keep the tail
-    oscillating, so that case reports NONE."""
+    below `tol`, decided on the exact distances.  Measures alternating
+    between several limit points keep the tail oscillating, so that case
+    reports NONE."""
     ms = list(measures)
     if len(ms) < tail:
         raise ValueError("need at least %d measures" % tail)

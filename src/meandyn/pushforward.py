@@ -26,8 +26,7 @@ with (A, inf) and (-inf, -A).  Its cost then grows with A, not with the
 window or the translate range.  Every other neighbourhood, a limit on
 the sphere, a LampBox and a lamplighter space take the sweep.
 
-Interleaved and subsequence families unwrap index by index to one of
-these.  Every index answered is checked against the atom budget by
+Every index answered is checked against the atom budget by
 `folner.cardinality`, so BudgetError fires where enumeration raises it.
 Results are exact: integer multiplicities and Fractions.
 """
@@ -46,7 +45,6 @@ def images(space, start, family, n, translate=None, budget=folner.ATOM_BUDGET):
     """Image multiplicities of `start` under F_n, or under F_n.translate:
     a Counter whose values sum to |F_n|."""
     folner.cardinality(family, n, budget)
-    family, n = folner.resolve(family, n)
     window = _window(family, n, translate)
     if window is None:
         return _box_images(space, _moved(space, translate, start), n)
@@ -130,14 +128,10 @@ def _tails(space, pair, nbhd):
 
 
 def _sets(family, requests, budget):
-    """(|F_n|, resolved index, translate, shift window or None) per
-    request (n, translate), each index checked against the budget."""
-    sets = []
-    for n, t in requests:
-        size = folner.cardinality(family, n, budget)
-        base, k = folner.resolve(family, n)
-        sets.append((size, k, t, _window(base, k, t)))
-    return sets
+    """(|F_n|, n, translate, shift window or None) per request
+    (n, translate), each index checked against the budget."""
+    return [(folner.cardinality(family, n, budget), n, t, _window(family, n, t))
+            for n, t in requests]
 
 
 def _means(space, start, sets, weight):
@@ -145,10 +139,10 @@ def _means(space, start, sets, weight):
                                 [w for _, _, _, w in sets if w is not None],
                                 weight))
     out = []
-    for size, k, t, window in sets:
+    for size, n, t, window in sets:
         if window is None:
             total = sum(weight(img) * c for img, c in
-                        _box_images(space, _moved(space, t, start), k).items())
+                        _box_images(space, _moved(space, t, start), n).items())
         else:
             total = next(swept)
         out.append(Fraction(total, size))

@@ -145,11 +145,11 @@ def detect_qrms_f(space, pair, family, witnesses, radii, ks, window,
 
 
 def detect_qrms_banach(space, pair, shape, witnesses, radii, ks, n,
-                       translates=None, budget=folner.ATOM_BUDGET):
+                       translates, budget=folner.ATOM_BUDGET):
     """Banach version: witness k is scored by the best density over
     right translates of the window shape."""
     # every (witness, radius) reads the same translates
-    translates = None if translates is None else list(translates)
+    translates = list(translates)
 
     def score(i, wp, ball):
         return density.ub_dens_estimate(space, wp, ball, shape, n,
@@ -172,31 +172,16 @@ def forward_closure_negative(space, nbhd, family, n_list, truncation,
             and isinstance(nbhd.right, PointSet)):
         raise ValueError("closure argument needs a product of point sets")
     n_list = list(n_list)
-    els = []
-    seen = set()
-    for n in n_list:
-        for g in folner.elements(family, n, budget):
-            if g not in seen:
-                seen.add(g)
-                els.append(g)
+    els = list(dict.fromkeys(g for n in n_list
+                             for g in folner.elements(family, n, budget)))
     points = truncate(space, truncation)
-    closed = True
-    counterexample = None
-    for factor in (nbhd.left, nbhd.right):
-        for p in points:
-            if contains(space, factor, p):
-                continue
-            for g in els:
-                if contains(space, factor, act(space, g, p)):
-                    closed = False
-                    counterexample = (p, g)
-                    break
-            if not closed:
-                break
-        if not closed:
-            break
+    counterexample = next(((p, g) for factor in (nbhd.left, nbhd.right)
+                           for p in points if not contains(space, factor, p)
+                           for g in els
+                           if contains(space, factor, act(space, g, p))), None)
     margin = _product_gap(space, nbhd, points)
-    verdict = NEGATIVE if closed and margin > 0 else INCONCLUSIVE
+    verdict = (NEGATIVE if counterexample is None and margin > 0
+               else INCONCLUSIVE)
     return Certificate("forward_closure", None, verdict, None,
                        [{"margin": margin, "counterexample": counterexample}],
                        {"family": repr(family), "n_list": n_list,

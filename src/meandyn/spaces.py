@@ -263,14 +263,9 @@ def truncate(space, n):
     """Finite stand-in: coordinates |s| <= n in every copy plus all limits."""
     if n < 0:
         raise ValueError("negative truncation level")
-    pts = []
-    for tag in space.copies:
-        for s in range(-n, n + 1):
-            pts.append(Point(s, tag))
-    for p in space.limit_points():
-        if p not in pts:
-            pts.append(p)
-    return sorted(set(pts), key=lambda p: sort_key(space, p))
+    pts = {Point(s, tag) for tag in space.copies for s in range(-n, n + 1)}
+    pts.update(space.limit_points())
+    return sorted(pts, key=lambda p: sort_key(space, p))
 
 
 def sort_key(space, p):

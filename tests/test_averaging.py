@@ -49,15 +49,6 @@ def test_profile_tail_and_stabilization():
     assert prof2.rows()[0][0] == 1
 
 
-def test_interleaved_estimate_dominates_components():
-    fam = folner.interleave([ZInitial(), ZCentered()])
-    x, y = Point(0, 1), Point(3, 1)
-    est = besicovitch_profile(TWO_POINT, x, y, fam, (1, 80))
-    for base in (ZInitial(), ZCentered()):
-        prof = besicovitch_profile(TWO_POINT, x, y, base, (1, 40))
-        assert est.tail_sup >= prof.tail_sup
-
-
 def test_mec_probe_consistent():
     rep = mec_probe(LAMPLIGHTER_Z, ZShifted(), UP_INF,
                     [up(2), up(5), up(10), up(20)],

@@ -39,6 +39,37 @@ def test_density_command():
     assert out["tail_max"]["float"] > 0.8
 
 
+# the start itself, at distance 0, is the only hit in F_1, F_2 and F_3
+DENSITY_AT_START = ["density", "--system", "two-point", "--pair", "0^1;0^1",
+                    "--center", "0^1;0^1", "--family", "z-initial",
+                    "--window", "1", "3"]
+
+
+def test_density_small_radius_is_read_exactly(capsys):
+    from meandyn import cli
+    assert cli.main(DENSITY_AT_START + ["--radius", "1e-7"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [r["fraction"] for r in out["ratios"]] == ["1", "1/2", "1/3"]
+
+
+def test_density_radius_may_be_a_fraction(capsys):
+    from meandyn import cli
+    outputs = []
+    for radius in ("1/5", "0.2"):
+        assert cli.main(DENSITY_AT_START + ["--radius", radius]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "junk"])
+def test_density_radius_must_be_a_number(radius, capsys):
+    from meandyn import cli
+    with pytest.raises(SystemExit) as exc:      # rejected by argparse
+        cli.main(DENSITY_AT_START + ["--radius", radius])
+    assert exc.value.code == 2
+    assert "--radius" in capsys.readouterr().err
+
+
 def test_measure_command():
     r = run("measure", "--system", "two-point", "--start", "0^1",
             "--family", "z-centered", "--n", "3")

@@ -73,7 +73,8 @@ def test_ub_translates_beat_initial_window():
 def test_ub_default_translate_range():
     pair = (Point(-3, 1), TP_MINF)
     u = Ball((TP_PINF, TP_MINF), Fraction(1, 5))
-    est = ub_dens_estimate(TWO_POINT, pair, u, ZInitial(), 10)
+    est = ub_dens_estimate(TWO_POINT, pair, u, ZInitial(), 10,
+                           [IntShift(t) for t in range(-50, 51)])
     assert est["sup"] == 1
     assert est["translates"] == 101
 

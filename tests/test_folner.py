@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meandyn import folner
-from meandyn.folner import (BudgetError, Interleaved, LampBox, Subsequence,
-                            ZCentered, ZInitial, ZShifted, cardinality,
-                            defect, elements, group_of_family, interleave,
+from meandyn.folner import (BudgetError, LampBox, ZCentered, ZInitial,
+                            ZShifted, cardinality, defect, elements,
                             lamp_defect_bound)
 from meandyn.groups import IntShift, Lamp, multiply
 
@@ -65,29 +64,6 @@ def test_defect_dominated_by_bound_exhaustive():
         assert defect(LampBox(), 3, [g]) <= lamp_defect_bound(g, 3)
 
 
-def test_interleave():
-    fam = interleave([ZInitial(), ZCentered()])
-    assert shifts(elements(fam, 3)) == [0]            # block 1, first family
-    assert shifts(elements(fam, 4)) == [-1, 0, 1]     # block 1, second family
-    assert shifts(elements(fam, 5)) == [0, 1]         # block 2, first family
-    assert cardinality(fam, 6) == 5
-    with pytest.raises(ValueError):
-        interleave([ZInitial(), LampBox()])
-
-
-def test_interleave_rejects_no_families():
-    with pytest.raises(ValueError, match="at least one family"):
-        interleave([])
-
-
-def test_subsequence():
-    fam = Subsequence(ZInitial(), (2, 4, 8))
-    assert shifts(elements(fam, 1)) == [0, 1]
-    assert shifts(elements(fam, 3)) == list(range(8))
-    assert elements(fam, 2) == elements(ZInitial(), 4)
-    assert group_of_family(fam) == "integers"
-
-
 def test_budget():
     with pytest.raises(BudgetError):
         cardinality(LampBox(), 30)
@@ -116,24 +92,11 @@ Z_BASES = [ZInitial(), ZCentered(), ZShifted()]
 @st.composite
 def defect_cases(draw):
     lamp = draw(st.booleans())
-    bases = [LampBox()] if lamp else Z_BASES
-    shape = draw(st.sampled_from(["plain", "interleaved", "subsequence"]))
-    if shape == "plain":
-        family = draw(st.sampled_from(bases))
-        n = draw(st.integers(1, 6))
-    elif shape == "interleaved":
-        parts = draw(st.lists(st.sampled_from(bases), min_size=1, max_size=3))
-        family = Interleaved(tuple(parts))
-        n = draw(st.integers(1, 6))
-    else:
-        indices = tuple(draw(st.lists(st.integers(1, 6), min_size=1,
-                                      max_size=4)))
-        family = Subsequence(draw(st.sampled_from(bases)), indices)
-        n = draw(st.integers(1, len(indices)))
-    m = folner.resolve(family, n)[1]
+    family = draw(st.sampled_from([LampBox()] if lamp else Z_BASES))
+    n = draw(st.integers(1, 6))
     if lamp:
-        # toggle sites on both sides of A_m = {m, ..., 2m}
-        sites = st.lists(st.integers(m - 3, 2 * m + 3), unique=True,
+        # toggle sites on both sides of A_n = {n, ..., 2n}
+        sites = st.lists(st.integers(n - 3, 2 * n + 3), unique=True,
                          max_size=3).map(lambda b: tuple(sorted(b)))
         element = st.builds(Lamp, st.integers(-4, 4), sites)
     else:
@@ -157,15 +120,14 @@ def test_defect_builds_no_element(monkeypatch):
         raise AssertionError("defect enumerated F_n")
     monkeypatch.setattr(folner, "elements", refuse)
     assert defect(LampBox(), 8, [Lamp(1, (-1,))]) == Fraction(2, 9)
-    assert defect(interleave([ZInitial(), ZCentered()]), 4,
-                  [IntShift(2)]) == Fraction(2, 3)
+    assert defect(ZCentered(), 1, [IntShift(2)]) == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("family, good, bad", [
     (ZInitial(), IntShift(1), Lamp(1, ())),
     (LampBox(), Lamp(1, (2,)), IntShift(1)),
-    (Subsequence(LampBox(), (2, 3)), Lamp(0, ()), 7),
-    (interleave([ZCentered(), ZShifted()]), IntShift(-2), "s^1 t{}"),
+    (ZCentered(), IntShift(-2), 7),
+    (ZShifted(), IntShift(-2), "s^1 t{}"),
 ])
 @pytest.mark.parametrize("bad_first", [True, False])
 def test_wrong_group_error_is_unchanged(family, good, bad, bad_first):

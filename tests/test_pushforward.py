@@ -9,12 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from meandyn import averaging, density, folner, pushforward
-from meandyn.folner import (BudgetError, Interleaved, LampBox, Subsequence,
-                            ZCentered, ZInitial, ZShifted)
+from meandyn.folner import BudgetError, LampBox, ZCentered, ZInitial, ZShifted
 from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
                              THREE_GLUED, TP_MINF, TP_PINF, TWO_POINT, up)
 from meandyn.groups import GroupMismatchError, IntShift, Lamp, multiply
-from meandyn.spaces import Ball, Point, act, contains, metric
+from meandyn.spaces import Ball, Point, act, metric
 
 INTEGER_SPACES = (LITERATURE_DOCK, LAMPLIGHTER_Z, TWO_POINT, THREE_GLUED)
 Z_FAMILIES = (ZInitial(), ZCentered(), ZShifted())
@@ -84,19 +83,6 @@ def test_integer_images_equal_enumeration(case):
     start = pair if n % 2 else pair[0]
     assert pushforward.images(space, start, family, n) == Counter(
         act(space, g, start) for g in folner.elements(family, n))
-
-
-@PROPERTY
-@given(integer_cases(), st.lists(st.integers(1, 12), min_size=1, max_size=6))
-def test_interleaved_and_subsequence_equal_enumeration(case, indices):
-    space, _, (lo, hi), pair, ball = case
-    hit = lambda img: contains(space, ball, img)  # noqa: E731
-    for family in (Interleaved((ZInitial(), ZShifted(), ZCentered())),
-                   Subsequence(ZCentered(), tuple(indices))):
-        ns = range(1, len(indices) + 1)
-        assert pushforward.means(space, pair, family, ns, hit) == [
-            enumerated_mean(space, pair, folner.elements(family, n), hit)
-            for n in ns]
 
 
 # ----------------------------------------------------- LampBox closed form
