@@ -61,6 +61,17 @@ def _index(text):
     return n
 
 
+def _radius(text):
+    """argparse type of a ball radius: the exact rational it names, > 0."""
+    try:
+        r = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("not a rational number: %r" % text)
+    if r <= 0:
+        raise argparse.ArgumentTypeError("a ball needs a radius > 0, got %s" % r)
+    return r
+
+
 def _window(args):
     lo, hi = args.window
     if lo > hi:
@@ -225,7 +236,7 @@ def build_parser():
     p.add_argument("--system", required=True)
     p.add_argument("--pair", required=True, help="pair 'a;b'")
     p.add_argument("--center", required=True, help="ball center pair 'a;b'")
-    p.add_argument("--radius", type=Fraction, default=Fraction(1, 4))
+    p.add_argument("--radius", type=_radius, default=Fraction(1, 4))
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--window", type=_index, nargs=2, default=[1, 120])
     p.set_defaults(fn=cmd_density)

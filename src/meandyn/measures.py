@@ -5,17 +5,20 @@ Wasserstein-1 distance.
 The transport solver runs two routes: a closed-form sweep when the
 joint support is isometric to a subset of the line (always the case
 inside one connected component, and for pair measures whose two legs
-move monotonically together), and a min-cost flow otherwise.  The flow
-route scales the weights and the cost matrix to integers by the lcm of
-their denominators and runs successive shortest paths, Dijkstra on
-reduced costs with node potentials, in integer arithmetic; the answer
-is the integer total over the product of the two scales, so it stays
-exact.  The two routes agree on their overlap, which the test suite
-checks.
+move monotonically together), and a min-cost flow otherwise.  Both run
+on integers.  The line route sums |CDF| times gap along the chart with
+positions and weights scaled by the lcm of their denominators; the
+flow route scales the weights and the cost matrix the same way and
+runs successive shortest paths, Dijkstra on reduced costs with node
+potentials.  Each answer is the integer total over the product of the
+two scales, so it stays exact.  The two routes agree on their overlap,
+which the test suite checks.  `cluster_detect` charts the union support
+of its whole tail once and reads every pairwise distance from that one
+chart when it lies on a line.
 """
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,41 +115,73 @@ def _monotone(vals):
             or all(a >= b for a, b in zip(vals, vals[1:])))
 
 
-def w1(mu, nu):
-    """Exact optimal-transport distance for the ground metric."""
+def _check_pair(mu, nu):
     if mu.space != nu.space:
         raise ValueError("measures live on different spaces")
-    space = mu.space
     atoms = max(len(mu.atoms), len(nu.atoms))
     if atoms > MAX_ATOMS:
         raise folner.BudgetError("w1 of a measure with %d atoms exceeds %d"
                                  % (atoms, MAX_ATOMS))
+
+
+def _union_support(ms):
+    space = ms[0].space
+    return sorted({p for m in ms for p, _ in m.atoms},
+                  key=lambda p: sort_key(space, p))
+
+
+def w1(mu, nu):
+    """Exact optimal-transport distance for the ground metric."""
+    _check_pair(mu, nu)
     if mu.atoms == nu.atoms:
         return Fraction(0)
-    support = sorted({p for p, _ in mu.atoms} | {p for p, _ in nu.atoms},
-                     key=lambda p: sort_key(space, p))
-    pos = _line_positions(space, support)
+    support = _union_support((mu, nu))
+    pos = _line_positions(mu.space, support)
     if pos is not None:
         return _w1_line(dict(zip(support, pos)), mu, nu)
-    return _w1_flow(space, mu, nu)
+    return _w1_flow(mu.space, mu, nu)
 
 
 def _w1_line(pos, mu, nu):
-    # CDF sweep: integrate |F_mu - F_nu| along the chain coordinate
-    delta = Counter()
-    for p, w in mu.atoms:
-        delta[pos[p]] += w
-    for p, w in nu.atoms:
-        delta[pos[p]] -= w
-    cost = Fraction(0)
-    cdf = Fraction(0)
-    prev = None
-    for t in sorted(delta):
-        if prev is not None:
-            cost += abs(cdf) * (t - prev)
-        cdf += delta[t]
-        prev = t
-    return cost
+    """Line route: `pos` maps every support point to its chart
+    coordinate."""
+    points = sorted(pos, key=pos.__getitem__)
+    at = {p: k for k, p in enumerate(points)}
+    vec = _signed(at, mu, 1) + _signed(at, nu, -1)
+    return _line_sweep([pos[p] for p in points], [vec])[0]
+
+
+def _signed(at, m, sign):
+    # the atoms of m as (chart index, sign, weight)
+    return [(at[p], sign, w) for p, w in m.atoms]
+
+
+def _line_sweep(pos, vectors):
+    """Integrate |CDF| along a line chart, once per signed mass vector.
+
+    `pos` holds the nondecreasing chart coordinates of a sorted support,
+    and each vector lists (index into `pos`, sign, weight) entries.  On
+    the line W1 is the L1 distance between the two CDFs (Vallender,
+    1973).  Positions are scaled to integers by the lcm of their
+    denominators and weights by the lcm of theirs, so the sum runs on
+    Python ints; each answer is total / (weight_scale * pos_scale)."""
+    pos_scale = math.lcm(*{x.denominator for x in pos})
+    ipos = [x.numerator * (pos_scale // x.denominator) for x in pos]
+    gaps = [b - a for a, b in zip(ipos, ipos[1:])]
+    denominators = {w.denominator for vec in vectors for _, _, w in vec}
+    weight_scale = math.lcm(*denominators)
+    factor = {d: weight_scale // d for d in denominators}
+    out = []
+    for vec in vectors:
+        delta = [0] * len(pos)
+        for k, sign, w in vec:
+            delta[k] += sign * w.numerator * factor[w.denominator]
+        cdf = total = 0
+        for mass, gap in zip(delta, gaps):
+            cdf += mass
+            total += abs(cdf) * gap
+        out.append(Fraction(total, weight_scale * pos_scale))
+    return out
 
 
 def _w1_flow(space, mu, nu):
@@ -263,18 +298,32 @@ def cluster_detect(measures, tol=1e-3, tail=5):
     if len(ms) < tail:
         raise ValueError("need at least %d measures" % tail)
     window = ms[-tail:]
+    distances = _pairwise_w1(window)
+    gaps = [float(g) for g in distances]
     exact_tol = Fraction(tol)
-    gaps = []
-    ok = True
-    for i in range(len(window)):
-        for j in range(i + 1, len(window)):
-            g = w1(window[i], window[j])
-            gaps.append(float(g))
-            if g >= exact_tol:
-                ok = False
+    ok = all(g < exact_tol for g in distances)
     if ok:
         return ClusterReport("CANDIDATE", ms[-1], gaps, tol, tail)
     return ClusterReport("NONE", None, gaps, tol, tail)
+
+
+def _pairwise_w1(ms):
+    """w1 between every two of `ms`, in the order (0, 1), (0, 2), ...,
+    all read from one chart of the union support when it lies on a
+    line, else one w1 call per pair."""
+    pairs = list(itertools.combinations(range(len(ms)), 2))
+    for i, j in pairs:
+        _check_pair(ms[i], ms[j])
+    if not pairs:
+        return []
+    support = _union_support(ms)
+    pos = _line_positions(ms[0].space, support)
+    if pos is None:
+        return [w1(ms[i], ms[j]) for i, j in pairs]
+    at = {p: k for k, p in enumerate(support)}
+    plus = [_signed(at, m, 1) for m in ms]
+    minus = [_signed(at, m, -1) for m in ms]
+    return _line_sweep(pos, [plus[i] + minus[j] for i, j in pairs])
 
 
 def support_union_estimate(space, starts, families, n, snap_radius=Fraction(1, 10),

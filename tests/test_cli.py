@@ -61,7 +61,7 @@ def test_density_radius_may_be_a_fraction(capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("radius", ["nan", "inf", "junk"])
+@pytest.mark.parametrize("radius", ["nan", "inf", "junk", "1/0", "-1", "0"])
 def test_density_radius_must_be_a_number(radius, capsys):
     from meandyn import cli
     with pytest.raises(SystemExit) as exc:      # rejected by argparse

@@ -172,6 +172,12 @@ def _points(space):
     return st.one_of(finite, st.sampled_from(space.limit_points()))
 
 
+def _weighted(draw, support):
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(support),
+                            max_size=len(support)))
+    return [(p, Fraction(w, sum(weights))) for p, w in zip(support, weights)]
+
+
 @st.composite
 def measure_pairs(draw):
     """Two measures of at most 10 atoms each: pair measures on
@@ -182,10 +188,7 @@ def measure_pairs(draw):
 
     def one():
         support = draw(st.lists(atom, min_size=1, max_size=10))
-        weights = draw(st.lists(st.integers(1, 20), min_size=len(support),
-                                max_size=len(support)))
-        return measure(space, [(p, Fraction(w, sum(weights)))
-                               for p, w in zip(support, weights)])
+        return measure(space, _weighted(draw, support))
 
     return space, one(), one()
 
@@ -218,6 +221,148 @@ def test_w1_flow_is_exact_beyond_machine_words():
     d = measures._w1_flow(THREE_GLUED, mu, nu)
     assert d == _reference_flow(THREE_GLUED, mu, nu)
     assert d == measures._w1_flow(THREE_GLUED, nu, mu)
+
+
+def _cdf_reference(space, mu, nu):
+    """Test-only reference for the line route: the chart coordinate of
+    a support point is its distance from the first point in sort_key
+    order, and W1 is the integral of |F_mu - F_nu| along it, summed in
+    plain Fractions."""
+    support = sorted({p for p, _ in mu.atoms + nu.atoms},
+                     key=lambda p: spaces.sort_key(space, p))
+    x = {p: metric(space, support[0], p) for p in support}
+    mass = dict.fromkeys(support, Fraction(0))
+    for p, w in mu.atoms:
+        mass[p] += w
+    for p, w in nu.atoms:
+        mass[p] -= w
+    order = sorted(support, key=x.get)
+    cdf = cost = Fraction(0)
+    for p, q in zip(order, order[1:]):
+        cdf += mass[p]
+        cost += abs(cdf) * (x[q] - x[p])
+    return cost
+
+
+def _monotone_chain(draw):
+    """Pairs on three-glued whose first legs strictly increase along the
+    line and whose second legs move monotonically with them."""
+    def legs():
+        pts = draw(st.lists(_points(THREE_GLUED), min_size=1, max_size=12))
+        return sorted({spaces.canonical(THREE_GLUED, p) for p in pts},
+                      key=lambda p: spaces.embed(THREE_GLUED, p))
+    first = legs()
+    second = sorted(draw(st.lists(st.sampled_from(legs()), min_size=len(first),
+                                  max_size=len(first))),
+                    key=lambda p: spaces.embed(THREE_GLUED, p),
+                    reverse=draw(st.booleans()))
+    return list(zip(first, second))
+
+
+@st.composite
+def line_measures(draw, count=2):
+    """`count` measures whose joint support sits on a line: points of
+    two-point (one piece), or pairs from one monotone chain on
+    three-glued."""
+    if draw(st.booleans()):
+        space, atoms = TWO_POINT, draw(st.lists(_points(TWO_POINT), min_size=1,
+                                                max_size=12, unique=True))
+    else:
+        space, atoms = THREE_GLUED, _monotone_chain(draw)
+    ms = []
+    for _ in range(count):
+        support = draw(st.lists(st.sampled_from(atoms), min_size=1,
+                                max_size=len(atoms), unique=True))
+        ms.append(measure(space, _weighted(draw, support)))
+    return space, ms
+
+
+@settings(deadline=None, max_examples=200)
+@given(line_measures())
+def test_w1_line_route_matches_the_flow_and_a_fraction_sweep(case):
+    space, (mu, nu) = case
+    support = sorted({p for p, _ in mu.atoms + nu.atoms},
+                     key=lambda p: spaces.sort_key(space, p))
+    assert measures._line_positions(space, support) is not None
+    d = w1(mu, nu)
+    assert d == measures._w1_flow(space, mu, nu)
+    assert d == _cdf_reference(space, mu, nu)
+    assert d == w1(nu, mu)
+
+
+def test_w1_line_route_is_exact_beyond_machine_words():
+    # the chart coordinates of -60..60 on two-point have denominators
+    # whose lcm exceeds 2**64
+    mu = measure(TWO_POINT, [(Point(s, 1), Fraction(s + 61, 7381))
+                             for s in range(-60, 61)])
+    nu = measure(TWO_POINT, [(Point(3 * s, 1), Fraction(1, 41))
+                             for s in range(-20, 21)])
+    support = sorted({p for p, _ in mu.atoms + nu.atoms},
+                     key=lambda p: spaces.sort_key(TWO_POINT, p))
+    pos = measures._line_positions(TWO_POINT, support)
+    assert math.lcm(*(x.denominator for x in pos)) > 2 ** 64
+    assert w1(mu, nu) == _cdf_reference(TWO_POINT, mu, nu)
+
+
+@st.composite
+def tails(draw):
+    """Three to six measures on one space: a line case, or points of
+    lamplighter-z spread over both copies, or unconstrained pairs on
+    three-glued; the last two usually leave the line."""
+    kind = draw(st.sampled_from(("line", "lamplighter-z", "three-glued")))
+    count = draw(st.integers(3, 6))
+    if kind == "line":
+        return draw(line_measures(count))[1]
+    space = LAMPLIGHTER_Z if kind == "lamplighter-z" else THREE_GLUED
+    atom = (_points(space) if space is LAMPLIGHTER_Z
+            else st.tuples(_points(space), _points(space)))
+    return [measure(space, _weighted(draw, draw(st.lists(
+        atom, min_size=1, max_size=6, unique=True)))) for _ in range(count)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(tails(), st.sampled_from((1e-3, 0.05, 0.3, 2.0)))
+def test_cluster_gaps_equal_pairwise_w1(ms, tol):
+    rep = cluster_detect(ms, tol=tol, tail=len(ms))
+    exact = [w1(a, b) for k, a in enumerate(ms) for b in ms[k + 1:]]
+    assert rep.gaps == [float(g) for g in exact]
+    stable = all(g < Fraction(tol) for g in exact)
+    assert rep.verdict == ("CANDIDATE" if stable else "NONE")
+    assert rep.candidate is (ms[-1] if stable else None)
+
+
+def test_cluster_reads_a_line_tail_from_one_chart(monkeypatch):
+    ms = [empirical(THREE_GLUED, (Point(3, 1), Point(3, 3)), ZCentered(), m)
+          for m in range(20, 25)]
+    calls = []
+    monkeypatch.setattr(measures, "w1", lambda *a: calls.append(a))
+    rep = cluster_detect(ms)
+    assert calls == [] and len(rep.gaps) == 10
+
+
+def test_cluster_falls_back_to_w1_off_the_line(monkeypatch):
+    # two copies of lamplighter-z are two pieces: no line chart
+    ms = [measure(LAMPLIGHTER_Z, [(up(k), Fraction(1, 2)),
+                                  (down(k + 1), Fraction(1, 2))])
+          for k in range(5)]
+    calls = []
+    true_w1 = measures.w1
+    monkeypatch.setattr(measures, "w1",
+                        lambda a, b: calls.append(1) or true_w1(a, b))
+    rep = cluster_detect(ms)
+    assert len(calls) == 10
+    assert rep.gaps == [float(true_w1(a, b)) for k, a in enumerate(ms)
+                        for b in ms[k + 1:]]
+
+
+def test_cluster_rejects_mixed_spaces_and_over_budget_measures():
+    a = dirac(TWO_POINT, TP_PINF)
+    with pytest.raises(ValueError, match="different spaces"):
+        cluster_detect([a, a, a, a, dirac(THREE_GLUED, PINF1)])
+    n = measures.MAX_ATOMS + 1
+    big = measure(TWO_POINT, [(Point(s, 1), Fraction(1, n)) for s in range(n)])
+    with pytest.raises(folner.BudgetError):
+        cluster_detect([a, a, big, a, a])
 
 
 def test_w1_between_copies_uses_separation():
