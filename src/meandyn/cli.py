@@ -27,10 +27,7 @@ class SystemExit2(Exception):
 
 
 def _family(name, space=None):
-    try:
-        fam = FAMILIES[name]()
-    except KeyError:
-        raise SystemExit2("unknown family %r; have %s" % (name, sorted(FAMILIES)))
+    fam = FAMILIES[name]()
     if (space is not None and folner.group_of_family(fam) == LAMPLIGHTER
             and space.group != LAMPLIGHTER):
         raise SystemExit2("family %r does not act on %s" % (name, space.name))
@@ -120,7 +117,11 @@ def cmd_avg(args):
     prof = averaging.besicovitch_profile(space, x, y, fam, _window(args),
                                          args.budget)
     if args.csv:
-        averaging.profile_to_csv(prof, args.csv)
+        try:
+            averaging.profile_to_csv(prof, args.csv)
+        except OSError as e:
+            raise SystemExit2("cannot write --csv %r: %s"
+                              % (args.csv, e.strerror or e))
     _emit({"system": args.system, "family": args.family,
            "window": list(prof.window),
            "values": encode(prof.values),

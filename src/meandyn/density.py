@@ -34,10 +34,6 @@ class DensityProfile:
     ratios: list          # Fractions, one per n in the window
     tail_max: Fraction    # max over the upper half; finite limsup proxy
 
-    def rows(self):
-        lo, _ = self.window
-        return [(lo + i, r) for i, r in enumerate(self.ratios)]
-
 
 def hitting_ratios(space, pair, nbhd, family, ns, budget=folner.ATOM_BUDGET):
     """|hits in F_n| / |F_n| for each n in `ns`, read from the

@@ -253,8 +253,8 @@ def _case_rows(space, cases, schedule):
 
 
 def _support_row(name, space, starts, families, n, limits):
-    est = measures.support_union_estimate(space, starts, families, n)
-    return _row(name, set(est["points"]) == set(limits), repr(est["points"]))
+    points = measures.support_union_estimate(space, starts, families, n)
+    return _row(name, set(points) == set(limits), repr(points))
 
 
 def _mec_row(space, approach, profile):
@@ -463,8 +463,7 @@ def _rows_three_glued(system, profile):
     ok = rep.verdict == "CANDIDATE"
     detail = rep.verdict
     if ok:
-        snapped = measures.snap_to_limits(space, rep.candidate, Fraction(1, 10))
-        heavy = dict(measures.heavy_atoms(snapped, Fraction(1, 20)))
+        heavy = dict(measures.heavy_limits(rep.candidate))
         tol = Fraction(2, 100) if profile.name == "quick" else Fraction(1, 100)
         ok = (set(heavy) == {(PINF1, PINF1), (MINF1, MINF2)}
               and all(abs(w - Fraction(1, 2)) < tol for w in heavy.values()))

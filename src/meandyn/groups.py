@@ -33,14 +33,6 @@ class Lamp:
         object.__setattr__(self, "lamps", lamps)
 
 
-def identity(group):
-    if group == INTEGERS:
-        return IntShift(0)
-    if group == LAMPLIGHTER:
-        return Lamp(0, ())
-    raise ValueError("unknown group: %r" % (group,))
-
-
 def multiply(g, h):
     """Compose g.h; the product acts by applying h first, then g."""
     if isinstance(g, IntShift) and isinstance(h, IntShift):
@@ -51,14 +43,6 @@ def multiply(g, h):
         moved = frozenset(d + h.a for d in g.lamps)
         return Lamp(g.a + h.a, tuple(sorted(moved.symmetric_difference(h.lamps))))
     raise GroupMismatchError("cannot multiply %r and %r" % (g, h))
-
-
-def inverse(g):
-    if isinstance(g, IntShift):
-        return IntShift(-g.a)
-    if isinstance(g, Lamp):
-        return Lamp(-g.a, tuple(sorted(d - g.a for d in g.lamps)))
-    raise TypeError("not a group element: %r" % (g,))
 
 
 def render(g):

@@ -2,19 +2,24 @@
 rational weights, empirical averages along Folner sets, and an exact
 Wasserstein-1 distance.
 
-The transport solver runs two routes: a closed-form sweep when the
-joint support is isometric to a subset of the line (always the case
-inside one connected component, and for pair measures whose two legs
-move monotonically together), and a min-cost flow otherwise.  Both run
-on integers.  The line route sums |CDF| times gap along the chart with
-positions and weights scaled by the lcm of their denominators; the
-flow route scales the weights and the cost matrix the same way and
-runs successive shortest paths, Dijkstra on reduced costs with node
-potentials.  Each answer is the integer total over the product of the
-two scales, so it stays exact.  The two routes agree on their overlap,
-which the test suite checks.  `cluster_detect` charts the union support
-of its whole tail once and reads every pairwise distance from that one
-chart when it lies on a line.
+Every distance goes through one pairwise path: `w1` is its case of two
+measures, and `cluster_detect` runs it once over its whole tail.  The
+path sorts the union support once.  When that support is isometric to
+a subset of the line (always the case inside one connected component,
+and for pair measures whose two legs move monotonically together), it
+reads every distance from one sweep over that chart; otherwise it runs
+a min-cost flow per pair.  Both routes run on integers.  The line route
+sums |CDF| times gap along the chart with positions and weights scaled
+by the lcm of their denominators; the flow route scales the weights and
+the cost matrix the same way and runs successive shortest paths,
+Dijkstra on reduced costs with node potentials.  Each answer is the
+integer total over the product of the two scales, so it stays exact.
+The two routes agree on their overlap, which the test suite checks.
+
+The limit probes read four module constants: `cluster_detect` compares
+the last CLUSTER_TAIL measures against CLUSTER_TOL, and `heavy_limits`
+merges atoms within SNAP_RADIUS of a limit point and keeps the limits
+of weight at least HEAVY_WEIGHT.
 """
 
 import itertools
@@ -124,58 +129,51 @@ def _check_pair(mu, nu):
                                  % (atoms, MAX_ATOMS))
 
 
-def _union_support(ms):
-    space = ms[0].space
-    return sorted({p for m in ms for p, _ in m.atoms},
-                  key=lambda p: sort_key(space, p))
-
-
 def w1(mu, nu):
     """Exact optimal-transport distance for the ground metric."""
-    _check_pair(mu, nu)
-    if mu.atoms == nu.atoms:
-        return Fraction(0)
-    support = _union_support((mu, nu))
-    pos = _line_positions(mu.space, support)
-    if pos is not None:
-        return _w1_line(dict(zip(support, pos)), mu, nu)
-    return _w1_flow(mu.space, mu, nu)
+    return _distances([mu, nu])[0]
 
 
-def _w1_line(pos, mu, nu):
-    """Line route: `pos` maps every support point to its chart
-    coordinate."""
-    points = sorted(pos, key=pos.__getitem__)
-    at = {p: k for k, p in enumerate(points)}
-    vec = _signed(at, mu, 1) + _signed(at, nu, -1)
-    return _line_sweep([pos[p] for p in points], [vec])[0]
+def _distances(ms):
+    """W1 between every two of `ms`, in the order (0, 1), (0, 2), ...,
+    all read from one sweep when their union support lies on a line,
+    else one flow per pair."""
+    pairs = list(itertools.combinations(range(len(ms)), 2))
+    for i, j in pairs:
+        _check_pair(ms[i], ms[j])
+    space = ms[0].space
+    support = sorted({p for m in ms for p, _ in m.atoms},
+                     key=lambda p: sort_key(space, p))
+    pos = _line_positions(space, support)
+    if pos is None:
+        return [Fraction(0) if ms[i].atoms == ms[j].atoms
+                else _w1_flow(space, ms[i], ms[j]) for i, j in pairs]
+    at = {p: k for k, p in enumerate(support)}
+    signed = [[(at[p], w) for p, w in m.atoms] for m in ms]
+    return _w1_line(pos, [signed[i] + [(k, -w) for k, w in signed[j]]
+                          for i, j in pairs])
 
 
-def _signed(at, m, sign):
-    # the atoms of m as (chart index, sign, weight)
-    return [(at[p], sign, w) for p, w in m.atoms]
-
-
-def _line_sweep(pos, vectors):
+def _w1_line(pos, vectors):
     """Integrate |CDF| along a line chart, once per signed mass vector.
 
-    `pos` holds the nondecreasing chart coordinates of a sorted support,
-    and each vector lists (index into `pos`, sign, weight) entries.  On
-    the line W1 is the L1 distance between the two CDFs (Vallender,
-    1973).  Positions are scaled to integers by the lcm of their
-    denominators and weights by the lcm of theirs, so the sum runs on
-    Python ints; each answer is total / (weight_scale * pos_scale)."""
+    `pos` holds the strictly increasing chart coordinates of a sorted
+    support, and each vector lists (index into `pos`, signed weight)
+    entries.  On the line W1 is the L1 distance between the two CDFs
+    (Vallender, 1973).  Positions are scaled to integers by the lcm of
+    their denominators and weights by the lcm of theirs, so the sum runs
+    on Python ints; each answer is total / (weight_scale * pos_scale)."""
     pos_scale = math.lcm(*{x.denominator for x in pos})
     ipos = [x.numerator * (pos_scale // x.denominator) for x in pos]
     gaps = [b - a for a, b in zip(ipos, ipos[1:])]
-    denominators = {w.denominator for vec in vectors for _, _, w in vec}
+    denominators = {w.denominator for vec in vectors for _, w in vec}
     weight_scale = math.lcm(*denominators)
     factor = {d: weight_scale // d for d in denominators}
     out = []
     for vec in vectors:
         delta = [0] * len(pos)
-        for k, sign, w in vec:
-            delta[k] += sign * w.numerator * factor[w.denominator]
+        for k, w in vec:
+            delta[k] += w.numerator * factor[w.denominator]
         cdf = total = 0
         for mass, gap in zip(delta, gaps):
             cdf += mass
@@ -261,22 +259,31 @@ def _w1_flow(space, mu, nu):
 
 # ----------------------------------------------------- limits and clustering
 
-def snap_to_limits(space, m, radius):
-    """Merge each atom into the limit point(s) within `radius` of it
-    (coordinatewise for pairs)."""
+CLUSTER_TAIL = 5  # cluster_detect compares this many trailing measures
+CLUSTER_TOL = 1e-3  # and needs every W1 among them below Fraction(1e-3)
+SNAP_RADIUS = Fraction(1, 10)  # an atom this close to a limit merges into it
+HEAVY_WEIGHT = Fraction(1, 20)  # a limit needs this much merged mass to count
+
+
+def heavy_limits(m):
+    """The (point, weight) atoms of `m` once each atom has merged into
+    the limit point within SNAP_RADIUS of it (coordinatewise for pairs),
+    keeping those of weight at least HEAVY_WEIGHT, in sort_key order."""
+    space = m.space
     limits = space.limit_points()
 
     def snap(p):
         if isinstance(p, tuple):
             return tuple(snap(q) for q in p)
         best = min(limits, key=lambda l: metric(space, l, p))
-        return best if metric(space, best, p) <= radius else p
+        return best if metric(space, best, p) <= SNAP_RADIUS else p
 
-    return measure(space, [(snap(p), w) for p, w in m.atoms])
-
-
-def heavy_atoms(m, weight_tol):
-    return [(p, w) for p, w in m.atoms if w >= weight_tol]
+    acc = {}
+    for p, w in m.atoms:
+        q = snap(p)
+        acc[q] = acc.get(q, 0) + w
+    return sorted(((p, w) for p, w in acc.items() if w >= HEAVY_WEIGHT),
+                  key=lambda it: sort_key(space, it[0]))
 
 
 @dataclass
@@ -284,65 +291,34 @@ class ClusterReport:
     verdict: str            # "CANDIDATE" or "NONE"
     candidate: object       # AtomicMeasure or None
     gaps: list              # trailing pairwise w1 values (floats)
-    tol: float
-    tail: int
 
 
-def cluster_detect(measures, tol=1e-3, tail=5):
+def cluster_detect(measures):
     """Trailing-stability test: the last measure is the candidate limit
-    when all pairwise distances among the last `tail` entries fall
-    below `tol`, decided on the exact distances.  Measures alternating
-    between several limit points keep the tail oscillating, so that case
-    reports NONE."""
+    when all pairwise distances among the last CLUSTER_TAIL entries fall
+    below CLUSTER_TOL, decided on the exact distances.  Measures
+    alternating between several limit points keep the tail oscillating,
+    so that case reports NONE."""
     ms = list(measures)
-    if len(ms) < tail:
-        raise ValueError("need at least %d measures" % tail)
-    window = ms[-tail:]
-    distances = _pairwise_w1(window)
+    if len(ms) < CLUSTER_TAIL:
+        raise ValueError("need at least %d measures" % CLUSTER_TAIL)
+    distances = _distances(ms[-CLUSTER_TAIL:])
     gaps = [float(g) for g in distances]
-    exact_tol = Fraction(tol)
-    ok = all(g < exact_tol for g in distances)
-    if ok:
-        return ClusterReport("CANDIDATE", ms[-1], gaps, tol, tail)
-    return ClusterReport("NONE", None, gaps, tol, tail)
+    if all(g < Fraction(CLUSTER_TOL) for g in distances):
+        return ClusterReport("CANDIDATE", ms[-1], gaps)
+    return ClusterReport("NONE", None, gaps)
 
 
-def _pairwise_w1(ms):
-    """w1 between every two of `ms`, in the order (0, 1), (0, 2), ...,
-    all read from one chart of the union support when it lies on a
-    line, else one w1 call per pair."""
-    pairs = list(itertools.combinations(range(len(ms)), 2))
-    for i, j in pairs:
-        _check_pair(ms[i], ms[j])
-    if not pairs:
-        return []
-    support = _union_support(ms)
-    pos = _line_positions(ms[0].space, support)
-    if pos is None:
-        return [w1(ms[i], ms[j]) for i, j in pairs]
-    at = {p: k for k, p in enumerate(support)}
-    plus = [_signed(at, m, 1) for m in ms]
-    minus = [_signed(at, m, -1) for m in ms]
-    return _line_sweep(pos, [plus[i] + minus[j] for i, j in pairs])
-
-
-def support_union_estimate(space, starts, families, n, snap_radius=Fraction(1, 10),
-                           weight_tol=Fraction(1, 20), budget=folner.ATOM_BUDGET):
+def support_union_estimate(space, starts, families, n, budget=folner.ATOM_BUDGET):
     """Finite estimate of the union of supports of invariant limit
-    measures: snap each empirical measure's atoms to nearby limit
-    points, keep the heavy ones, and union over starts and families."""
+    measures: the heavy limits of each empirical measure, unioned over
+    starts and families, in sort_key order."""
     out = set()
-    detail = []
     for fam in families:
         for start in starts:
-            m = snap_to_limits(space, empirical(space, start, fam, n, budget),
-                               snap_radius)
-            heavy = [p for p, w in heavy_atoms(m, weight_tol)]
-            detail.append((start, fam, heavy))
-            out.update(heavy)
-    points = sorted(out, key=lambda p: sort_key(space, p))
-    return {"points": points, "n": n, "snap_radius": snap_radius,
-            "weight_tol": weight_tol, "detail": detail}
+            m = empirical(space, start, fam, n, budget)
+            out.update(p for p, _ in heavy_limits(m))
+    return sorted(out, key=lambda p: sort_key(space, p))
 
 
 def measure_to_json(m):

@@ -152,6 +152,30 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
         cli.main(AVG)
 
 
+def test_unwritable_csv_is_a_usage_error(tmp_path, capsys):
+    from meandyn import cli
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert cli.main(AVG + ["--csv", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "--csv" in err and str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    AVG,
+    DENSITY_AT_START,
+    ["measure", "--system", "two-point", "--start", "0^1",
+     "--family", "z-centered", "--n", "3"],
+], ids=["avg", "density", "measure"])
+def test_family_must_act_on_the_system(argv, capsys):
+    from meandyn import cli
+    argv = list(argv)
+    argv[argv.index("--family") + 1] = "lamp-box"
+    system = argv[argv.index("--system") + 1]
+    assert cli.main(argv) == 2
+    assert ("family 'lamp-box' does not act on %s" % system
+            in capsys.readouterr().err)
+
+
 def test_bad_user_input_is_a_usage_error(capsys):
     from meandyn import cli
     bad_point = list(AVG)

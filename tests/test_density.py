@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from meandyn import density, folner, measures
+from meandyn import folner, measures
 from meandyn.density import (hitting_density, ua_dens_estimate,
                              ub_dens_estimate)
 from meandyn.folner import ZCentered, ZInitial
@@ -47,7 +47,7 @@ def test_ua_profile():
     prof = ua_dens_estimate(TWO_POINT, pair, u, ZInitial(), (1, 80))
     assert prof.tail_max > Fraction(4, 5)
     assert prof.ratios[0] == 0
-    assert prof.rows()[-1][0] == 80
+    assert prof.window == (1, 80) and len(prof.ratios) == 80
 
 
 def test_ua_fixed_pair_density_one():

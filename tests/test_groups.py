@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 
 from meandyn.groups import (INTEGERS, LAMPLIGHTER, GroupMismatchError, IntShift,
-                            Lamp, identity, inverse, multiply, parse, render)
+                            Lamp, multiply, parse, render)
 from meandyn.gallery import LAMPLIGHTER as LL_SPACE
 from meandyn.spaces import Point, act
 
@@ -16,14 +16,7 @@ def lamps_strategy():
 
 def test_normal_form_examples():
     assert multiply(Lamp(1, (0,)), Lamp(2, (1,))) == Lamp(3, (1, 2))
-    assert inverse(Lamp(2, (3,))) == Lamp(-2, (1,))
     assert multiply(IntShift(3), IntShift(-5)) == IntShift(-2)
-    assert inverse(IntShift(7)) == IntShift(-7)
-
-
-def test_identity():
-    assert identity(INTEGERS) == IntShift(0)
-    assert identity(LAMPLIGHTER) == Lamp(0, ())
 
 
 def test_unsorted_lamps_rejected():
@@ -45,13 +38,6 @@ def test_multiply_matches_action_oracle(g, h):
     for p in [Point(s, c) for s in range(-12, 13) for c in (0, 1)]:
         assert (act(LL_SPACE, multiply(g, h), p)
                 == act(LL_SPACE, g, act(LL_SPACE, h, p)))
-
-
-@given(lamps_strategy())
-def test_inverse_cancels(g):
-    e = identity(LAMPLIGHTER)
-    assert multiply(g, inverse(g)) == e
-    assert multiply(inverse(g), g) == e
 
 
 @given(lamps_strategy(), lamps_strategy(), lamps_strategy())

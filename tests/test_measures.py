@@ -12,8 +12,8 @@ from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, MINF1, MINF2, PINF1,
                              down, lamplighter_corner_measure, up)
 from meandyn.groups import Lamp
 from meandyn.measures import (cluster_detect, combine, dirac, empirical,
-                              heavy_atoms, measure, snap_to_limits,
-                              support_union_estimate, w1)
+                              heavy_limits, measure, support_union_estimate,
+                              w1)
 from meandyn.spaces import Ball, Point, metric, truncate
 
 
@@ -202,9 +202,8 @@ def test_w1_flow_matches_the_reference_and_the_line_route(case):
     assert d == measures._w1_flow(space, nu, mu)
     support = sorted({p for p, _ in mu.atoms + nu.atoms},
                      key=lambda p: spaces.sort_key(space, p))
-    pos = measures._line_positions(space, support)
-    if pos is not None:
-        assert d == measures._w1_line(dict(zip(support, pos)), mu, nu)
+    if measures._line_positions(space, support) is not None:
+        assert d == w1(mu, nu)
 
 
 def test_w1_flow_is_exact_beyond_machine_words():
@@ -306,11 +305,11 @@ def test_w1_line_route_is_exact_beyond_machine_words():
 
 @st.composite
 def tails(draw):
-    """Three to six measures on one space: a line case, or points of
+    """Five to seven measures on one space: a line case, or points of
     lamplighter-z spread over both copies, or unconstrained pairs on
     three-glued; the last two usually leave the line."""
     kind = draw(st.sampled_from(("line", "lamplighter-z", "three-glued")))
-    count = draw(st.integers(3, 6))
+    count = draw(st.integers(measures.CLUSTER_TAIL, measures.CLUSTER_TAIL + 2))
     if kind == "line":
         return draw(line_measures(count))[1]
     space = LAMPLIGHTER_Z if kind == "lamplighter-z" else THREE_GLUED
@@ -323,35 +322,45 @@ def tails(draw):
 @settings(deadline=None, max_examples=150)
 @given(tails(), st.sampled_from((1e-3, 0.05, 0.3, 2.0)))
 def test_cluster_gaps_equal_pairwise_w1(ms, tol):
-    rep = cluster_detect(ms, tol=tol, tail=len(ms))
-    exact = [w1(a, b) for k, a in enumerate(ms) for b in ms[k + 1:]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "CLUSTER_TOL", tol)
+        rep = cluster_detect(ms)
+    window = ms[-measures.CLUSTER_TAIL:]
+    exact = [w1(a, b) for k, a in enumerate(window) for b in window[k + 1:]]
     assert rep.gaps == [float(g) for g in exact]
     stable = all(g < Fraction(tol) for g in exact)
     assert rep.verdict == ("CANDIDATE" if stable else "NONE")
     assert rep.candidate is (ms[-1] if stable else None)
 
 
+def _record_routes(monkeypatch):
+    """Log "line" or "flow" for every call of a W1 route."""
+    routes = []
+    for name, label in (("_w1_line", "line"), ("_w1_flow", "flow")):
+        route = getattr(measures, name)
+        monkeypatch.setattr(measures, name, lambda *a, route=route, label=label:
+                            routes.append(label) or route(*a))
+    return routes
+
+
 def test_cluster_reads_a_line_tail_from_one_chart(monkeypatch):
     ms = [empirical(THREE_GLUED, (Point(3, 1), Point(3, 3)), ZCentered(), m)
           for m in range(20, 25)]
-    calls = []
-    monkeypatch.setattr(measures, "w1", lambda *a: calls.append(a))
+    routes = _record_routes(monkeypatch)
     rep = cluster_detect(ms)
-    assert calls == [] and len(rep.gaps) == 10
+    assert routes == ["line"] and len(rep.gaps) == 10
 
 
 def test_cluster_falls_back_to_w1_off_the_line(monkeypatch):
-    # two copies of lamplighter-z are two pieces: no line chart
+    # two copies of lamplighter-z are two pieces: no line chart, so
+    # every pair takes the flow route
     ms = [measure(LAMPLIGHTER_Z, [(up(k), Fraction(1, 2)),
                                   (down(k + 1), Fraction(1, 2))])
           for k in range(5)]
-    calls = []
-    true_w1 = measures.w1
-    monkeypatch.setattr(measures, "w1",
-                        lambda a, b: calls.append(1) or true_w1(a, b))
+    routes = _record_routes(monkeypatch)
     rep = cluster_detect(ms)
-    assert len(calls) == 10
-    assert rep.gaps == [float(true_w1(a, b)) for k, a in enumerate(ms)
+    assert routes == ["flow"] * 10
+    assert rep.gaps == [float(w1(a, b)) for k, a in enumerate(ms)
                         for b in ms[k + 1:]]
 
 
@@ -397,8 +406,7 @@ def test_mass_and_support():
 
 def test_snap_and_heavy_atoms():
     m = empirical(TWO_POINT, Point(0, 1), ZCentered(), 100)
-    snapped = snap_to_limits(TWO_POINT, m, Fraction(1, 10))
-    heavy = dict(heavy_atoms(snapped, Fraction(1, 20)))
+    heavy = dict(heavy_limits(m))
     assert set(heavy) == {TP_MINF, TP_PINF}
     assert abs(heavy[TP_PINF] - Fraction(1, 2)) < Fraction(3, 100)
 
@@ -416,6 +424,8 @@ def test_cluster_candidate_and_none():
     assert rep2.verdict == "NONE" and rep2.candidate is None
     with pytest.raises(ValueError):
         cluster_detect(ms[:3])
+    with pytest.raises(ValueError, match="need at least 5 measures"):
+        cluster_detect([])
 
 
 def test_cluster_decides_on_the_exact_gap():
@@ -427,15 +437,16 @@ def test_cluster_decides_on_the_exact_gap():
     assert w1(a, b) == Fraction(1, 1000) < Fraction(1e-3)
     rep = cluster_detect([a, a, a, a, b])
     assert rep.verdict == "CANDIDATE" and rep.candidate is b
-    assert max(rep.gaps) == 1e-3 and rep.tol == 1e-3
+    assert max(rep.gaps) == 1e-3 == measures.CLUSTER_TOL
 
 
 def test_support_union_estimate():
-    est = support_union_estimate(
+    points = support_union_estimate(
         THREE_GLUED,
         [Point(0, 1), Point(0, 2), Point(0, 3), MINF1, PINF1, MINF2, PINF2],
         [ZInitial(), ZCentered()], 300)
-    assert set(est["points"]) == {MINF1, PINF1, MINF2, PINF2}
+    assert points == sorted({MINF1, PINF1, MINF2, PINF2},
+                            key=lambda p: spaces.sort_key(THREE_GLUED, p))
 
 
 def test_mixed_space_rejected():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meandyn import relations, spaces
-from meandyn.folner import ZCentered, ZInitial
-from meandyn.gallery import (LAMPLIGHTER_Z, LITERATURE_DOCK, MINF1, MINF2,
-                             PINF1, PINF2, THREE_GLUED, THREE_GLUED_MODEL,
-                             TP_MINF, TP_PINF, TWO_POINT, TWO_POINT_MODEL,
-                             down, negative_tails_product,
+from meandyn.folner import ZInitial
+from meandyn.gallery import (LAMPLIGHTER_Z, MINF1, MINF2, PINF1, PINF2,
+                             THREE_GLUED, THREE_GLUED_MODEL, TP_MINF, TP_PINF,
+                             TWO_POINT, TWO_POINT_MODEL, down,
+                             negative_tails_product,
                              three_glued_expected_hull,
                              two_point_expected_hull, up)
 from meandyn.groups import IntShift
