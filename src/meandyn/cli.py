@@ -109,19 +109,31 @@ def cmd_folner(args):
     return 0
 
 
+def _to_csv(path, profile=None):
+    """Write `profile` to the --csv path; with no profile, only check
+    that the path opens for writing, truncating nothing."""
+    try:
+        if profile is None:
+            with open(path, "a"):
+                pass
+        else:
+            averaging.profile_to_csv(profile, path)
+    except OSError as e:
+        raise SystemExit2("cannot write --csv %r: %s"
+                          % (path, e.strerror or e))
+
+
 def cmd_avg(args):
     space = _space(args)
     x = _point(space, args.x)
     y = _point(space, args.y)
     fam = _family(args.family, space)
-    prof = averaging.besicovitch_profile(space, x, y, fam, _window(args),
-                                         args.budget)
+    window = _window(args)
     if args.csv:
-        try:
-            averaging.profile_to_csv(prof, args.csv)
-        except OSError as e:
-            raise SystemExit2("cannot write --csv %r: %s"
-                              % (args.csv, e.strerror or e))
+        _to_csv(args.csv)  # fail before the profile is computed
+    prof = averaging.besicovitch_profile(space, x, y, fam, window, args.budget)
+    if args.csv:
+        _to_csv(args.csv, prof)
     _emit({"system": args.system, "family": args.family,
            "window": list(prof.window),
            "values": encode(prof.values),

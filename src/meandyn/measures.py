@@ -19,7 +19,11 @@ The two routes agree on their overlap, which the test suite checks.
 The limit probes read four module constants: `cluster_detect` compares
 the last CLUSTER_TAIL measures against CLUSTER_TOL, and `heavy_limits`
 merges atoms within SNAP_RADIUS of a limit point and keeps the limits
-of weight at least HEAVY_WEIGHT.
+of weight at least HEAVY_WEIGHT.  `support_union_estimate` reads those
+heavy limits without building a measure when the start moves by the
+shifts of an integer window with more than 1/HEAVY_WEIGHT elements:
+each finite leg snaps on one interval of shifts per end, so the weights
+are interval overlaps (`_tail_limits`).
 """
 
 import itertools
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import folner, spaces
+from .groups import INTEGERS, IntShift
 from .pushforward import images
 from .spaces import canonical, component, embed, metric, sort_key
 
@@ -313,12 +318,75 @@ def support_union_estimate(space, starts, families, n, budget=folner.ATOM_BUDGET
     """Finite estimate of the union of supports of invariant limit
     measures: the heavy limits of each empirical measure, unioned over
     starts and families, in sort_key order."""
-    out = set()
-    for fam in families:
-        for start in starts:
-            m = empirical(space, start, fam, n, budget)
-            out.update(p for p, _ in heavy_limits(m))
-    return sorted(out, key=lambda p: sort_key(space, p))
+    points = {p for fam in families for start in starts
+              for p, _ in _heavy_limits_of(space, start, fam, n, budget)}
+    return sorted(points, key=lambda p: sort_key(space, p))
+
+
+def _heavy_limits_of(space, start, family, n, budget):
+    """heavy_limits(empirical(space, start, family, n, budget)).  When
+    the start, a point or a tuple of points, moves by the shifts of an
+    integer window of more than 1/HEAVY_WEIGHT elements on a space whose
+    gluings alias only limit points, and `spaces.snap_threshold` proves
+    where its legs snap, they are read from tail intervals of shifts
+    (`_tail_limits`) and no measure is built."""
+    size = folner.cardinality(family, n, budget)
+    window = folner.shift_window(family, n)
+    legs = start if isinstance(start, tuple) else (start,)
+    bound = (window is not None and size * HEAVY_WEIGHT > 1 and legs
+             and all(isinstance(p, spaces.Point) for p in legs)
+             and space.group == INTEGERS and spaces.glues_limits_only(space)
+             and spaces.snap_threshold(space, SNAP_RADIUS))
+    if not bound:
+        return heavy_limits(empirical(space, start, family, n, budget))
+    return _tail_limits(space, start, window[0], size, bound)
+
+
+def _tail_limits(space, start, lo, size, bound):
+    """heavy_limits of the empirical measure of `start` over the `size`
+    shifts from lo on, size > 1 / HEAVY_WEIGHT, with no measure built.
+
+    A finite leg snaps exactly when |coord| >= bound, to its own copy's
+    end on the side of coord's sign, and its coordinate moves by one per
+    shift, so the shifts that snap it to each end form one interval.
+    A limit leg stays put.  The shifts that snap every leg to a given
+    tuple of ends are the overlap of those intervals with the window,
+    and that count over size is the tuple's weight.  An atom with a leg
+    left unsnapped moves with every shift, so it keeps weight 1 / size
+    and is never heavy."""
+    moved = spaces.act(space, IntShift(lo), start)  # checks the start
+    step = 1 if space.action == spaces.TRANSLATE else -1
+    last = size - 1
+
+    def shifts(sign, least):
+        # the k in [0, last] with sign * k >= least, sign = +1 or -1
+        return (max(0, least), last) if sign > 0 else (0, min(last, -least))
+
+    upper, lower = ((spaces.O_INF, spaces.O_INF)
+                    if space.kind == spaces.ONE_POINT
+                    else (spaces.P_INF, spaces.M_INF))
+    choices = []  # per leg: (snapped leg, first k, last k), shift lo + k
+    for p in (moved if isinstance(start, tuple) else (moved,)):
+        if p.is_limit():
+            choices.append([(p, 0, last)])
+            continue
+        # at shift lo + k the leg sits at p.coord + step * k
+        choices.append([
+            (canonical(space, spaces.Point(upper, p.copy)),
+             *shifts(step, bound - p.coord)),
+            (canonical(space, spaces.Point(lower, p.copy)),
+             *shifts(-step, bound + p.coord))])
+    counts = {}
+    for combo in itertools.product(*choices):
+        first_k = max(k for _, k, _ in combo)
+        last_k = min(k for _, _, k in combo)
+        if first_k <= last_k:
+            atom = tuple(q for q, _, _ in combo)
+            atom = atom if isinstance(start, tuple) else atom[0]
+            counts[atom] = counts.get(atom, 0) + last_k - first_k + 1
+    return sorted(((p, Fraction(c, size)) for p, c in counts.items()
+                   if Fraction(c, size) >= HEAVY_WEIGHT),
+                  key=lambda it: sort_key(space, it[0]))
 
 
 def measure_to_json(m):

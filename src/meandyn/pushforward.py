@@ -109,7 +109,7 @@ def _tails(space, pair, nbhd):
     if not (space.group == INTEGERS and isinstance(nbhd, Ball)
             and isinstance(pair, tuple) and isinstance(nbhd.center, tuple)
             and isinstance(nbhd.radius, (int, Fraction))
-            and all(alias.is_limit() for alias, _ in space.gluings)):
+            and spaces.glues_limits_only(space)):
         return None
     # a glued alias is a limit point, so canonical forms change no offset
     offsets = [abs(p.coord) for p in pair if not p.is_limit()]

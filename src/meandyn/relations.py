@@ -13,13 +13,21 @@ The regional-proximality probe scans perturbed pairs in a fixed order,
 so its witness is the first hit; a scale without one is ruled out by an
 exact sorted nearest-distance check per element
 (`spaces.nearest_distance`), which also gives the forward-closure
-certificate its margin.
+certificate its margin.  Before any scan, a scale whose perturbations
+lie in copies at least eps apart (`spaces.copy_gap`) fails outright:
+integer shifts keep every point in its own copy.
+
+The forward-closure certificate decides point by point, from the two
+extreme shifts of each range of its element union, whether any shift
+carries a point into the target; it scans elements only to name the
+first counterexample.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import density, folner, spaces
+from .groups import IntShift
 from .spaces import (Ball, PointSet, ProductOf, act, contains, metric,
                      render_point, truncate)
 
@@ -166,27 +174,81 @@ def forward_closure_negative(space, nbhd, family, n_list, truncation,
     element range (g.p in U implies p in U), any hit would pull the
     witness pair itself into U; but U keeps a positive gap from the
     diagonal, so asymptotically diagonal witnesses eventually miss U
-    entirely and all densities vanish."""
+    entirely and all densities vanish.
+
+    The element range is the union of the shift windows of an integer
+    window family over `n_list`, and whether a point enters a factor
+    under it is read from the extreme shifts of each range (`_enters`).
+    Only when some point does enter, or on a space that glues finite
+    points, are the shifts scanned, in the order the windows list them,
+    so the counterexample reported is the first in that order."""
     if not (isinstance(nbhd, ProductOf)
             and isinstance(nbhd.left, PointSet)
             and isinstance(nbhd.right, PointSet)):
         raise ValueError("closure argument needs a product of point sets")
     n_list = list(n_list)
-    els = list(dict.fromkeys(g for n in n_list
-                             for g in folner.elements(family, n, budget)))
+    if not n_list:
+        raise ValueError("n_list is empty: the closure needs a Folner index")
+    windows = []
+    for n in n_list:
+        folner.cardinality(family, n, budget)
+        windows.append(folner.shift_window(family, n))
+    if None in windows:
+        raise ValueError("forward closure needs an integer window family, "
+                         "got %r" % (family,))
+    ranges = _union(windows)
     points = truncate(space, truncation)
-    counterexample = next(((p, g) for factor in (nbhd.left, nbhd.right)
-                           for p in points if not contains(space, factor, p)
-                           for g in els
-                           if contains(space, factor, act(space, g, p))), None)
+    outside = [(factor, p) for factor in (nbhd.left, nbhd.right)
+               for p in points if not contains(space, factor, p)]
+    counterexample = None
+    if not spaces.glues_limits_only(space) or any(
+            _enters(space, factor, p, ranges) for factor, p in outside):
+        shifts = dict.fromkeys(IntShift(a) for lo, hi in windows
+                               for a in range(lo, hi + 1))
+        counterexample = next(((p, g) for factor, p in outside for g in shifts
+                               if contains(space, factor, act(space, g, p))),
+                              None)
     margin = _product_gap(space, nbhd, points)
     verdict = (NEGATIVE if counterexample is None and margin > 0
                else INCONCLUSIVE)
     return Certificate("forward_closure", None, verdict, None,
                        [{"margin": margin, "counterexample": counterexample}],
                        {"family": repr(family), "n_list": n_list,
-                        "truncation": truncation, "checked_elements": len(els),
+                        "truncation": truncation,
+                        "checked_elements": sum(hi - lo + 1
+                                                for lo, hi in ranges),
                         "checked_points": len(points)})
+
+
+def _union(windows):
+    """The union of integer ranges (lo, hi), as sorted disjoint ranges."""
+    out = []
+    for lo, hi in sorted(windows):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _enters(space, factor, p, ranges):
+    """Whether a shift in one of `ranges` moves p into the point set
+    `factor`, on a space whose finite points are their own canonical
+    forms.  A limit stays put.  A finite point runs through consecutive
+    coordinates of its own copy, so over a range it reaches a Tail
+    exactly when the image under an extreme shift lies in it, and a
+    listed point exactly when that point sits between the two images."""
+    if p.is_limit():
+        return False
+    for lo, hi in ranges:
+        ends = [act(space, IntShift(a), p) for a in (lo, hi)]
+        if any(contains(space, factor, q) for q in ends):
+            return True
+        low, high = sorted(q.coord for q in ends)
+        if any(q.copy == p.copy and not q.is_limit() and low < q.coord < high
+               for q in factor.points):
+            return True
+    return False
 
 
 def _product_gap(space, nbhd, points):
@@ -232,19 +294,24 @@ def detect_qrp(space, pair, epsilons, elements, truncation=40):
             orbits[y] = [act(space, g, y) for g in elements]
         return orbits[y]
 
+    # integer shifts keep every point in its own copy
+    keeps_copies = all(isinstance(g, IntShift) for g in elements)
     witnesses = []
     found_all = True
     for eps in epsilons:
         near_x = [y for y in points if metric(space, pair[0], y) < eps]
         near_y = [y for y in points if metric(space, pair[1], y) < eps]
-        hit = _first_hit(space, eps, near_x, near_y, elements, orbit)
+        copies = (sorted({p.copy for p in near_x}),
+                  sorted({p.copy for p in near_y}))
+        hit = None
+        if not (keeps_copies and _copy_bound(space, copies) >= eps):
+            hit = _first_hit(space, eps, near_x, near_y, elements, orbit)
         if hit:
             witnesses.append(hit)
         else:
             found_all = False
             witnesses.append({"epsilon": float(eps), "pair": None,
-                              "copies": (sorted({p.copy for p in near_x}),
-                                         sorted({p.copy for p in near_y}))})
+                              "copies": copies})
     if found_all:
         verdict = POSITIVE
     elif space.action == spaces.TRANSLATE and _copy_gap_blocks(space, witnesses,
@@ -290,33 +357,25 @@ def _some_element_hits(space, eps, near_x, near_y, orbit):
                for gx, gy in moved)
 
 
+def _copy_bound(space, copies):
+    """The least distance between a point of a copy in copies[0] and
+    one of a copy in copies[1] (`spaces.copy_gap`), which no move that
+    keeps copies can undercut; 0 when either side has no copy, where no
+    pair is there to scan."""
+    return min((spaces.copy_gap(space, a, b)
+                for a in copies[0] for b in copies[1]), default=Fraction(0))
+
+
 def _copy_gap_blocks(space, witnesses, epsilons):
     """Translations preserve copies, so if every perturbation at the
-    finest scale stays in copies whose closed layout ranges are at
-    least max(eps) apart, no element can ever bring the legs close."""
+    finest failed scale stays in copies at least max(eps) apart, no
+    element can ever bring the legs close.  A failed scale with no
+    perturbation on one side proves nothing."""
     failed = [w for w in witnesses if w.get("pair") is None]
     if not failed:
         return False
-    w = failed[-1]
-    gap = min(_range_gap(space, ca, cb)
-              for ca in w["copies"][0] for cb in w["copies"][1])
-    return gap >= max(epsilons)
-
-
-def _range_gap(space, copy_a, copy_b):
-    def rng(tag):
-        if space.kind == spaces.ONE_POINT:
-            i = space.copies.index(tag)
-            return (i - 1, i + 1)
-        off, _ = space.layout[space.copies.index(tag)]
-        return (off, off + 1)
-
-    (a0, a1), (b0, b1) = rng(copy_a), rng(copy_b)
-    if a1 < b0:
-        return b0 - a1
-    if b1 < a0:
-        return a0 - b1
-    return Fraction(0)
+    copies = failed[-1]["copies"]
+    return all(copies) and _copy_bound(space, copies) >= max(epsilons)
 
 
 # --------------------------------------------------------- finite model hull

@@ -14,6 +14,7 @@ Points in different components sit at distance equal to their copy
 separation.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,6 +85,12 @@ def canonical(space, p):
     return p
 
 
+def glues_limits_only(space):
+    """Whether every gluing aliases a limit point, so that every finite
+    point is its own canonical form."""
+    return all(alias.is_limit() for alias, _ in space.gluings)
+
+
 def _checked(space, p):
     """The canonical form of `p`, whose copy must belong to the space."""
     p = canonical(space, p)
@@ -137,9 +144,24 @@ def component(space, p):
 
 def _piece(space, p):
     # p is canonical and its copy is in the space
+    return _copy_piece(space, p.copy)
+
+
+def _copy_piece(space, tag):
     if space.kind == ONE_POINT:
-        return space.copies.index(p.copy)
-    return _components(space)[p.copy]
+        return space.copies.index(tag)
+    return _components(space)[tag]
+
+
+def _copy_range(space, tag):
+    """The closed interval of line coordinates that the points of a copy
+    take: [i - 1, i + 1] for the i-th one-point circle, the unit segment
+    at its offset for a two-point interval."""
+    i = space.copies.index(tag)
+    if space.kind == ONE_POINT:
+        return i - 1, i + 1
+    offset, _ = space.layout[i]
+    return offset, offset + 1
 
 
 @lru_cache(maxsize=None)
@@ -205,6 +227,54 @@ def nearest_distance(space, left, right):
         gaps += [b - a for (_, a, s), (_, b, t) in zip(line, line[1:])
                  if s != t]
     return min(gaps)
+
+
+def copy_gap(space, copy_a, copy_b):
+    """The least distance between a point of copy_a and a point of
+    copy_b: their copy separation when they lie in different pieces,
+    else the gap between their closed layout ranges.  A move that keeps
+    every point in its own copy cannot bring them any closer."""
+    if _copy_piece(space, copy_a) != _copy_piece(space, copy_b):
+        return Fraction(abs(space.copies.index(copy_a)
+                            - space.copies.index(copy_b)))
+    (a0, a1), (b0, b1) = _copy_range(space, copy_a), _copy_range(space, copy_b)
+    return Fraction(max(0, b0 - a1, a0 - b1))
+
+
+@lru_cache(maxsize=None)
+def snap_threshold(space, radius):
+    """The least T >= 1 such that a finite point of any copy lies within
+    `radius` of a limit point exactly when |coord| >= T, and that limit
+    is then its own copy's end on the side of coord's sign (the point at
+    infinity, on a one-point circle); None where this is not proved.
+
+    A finite coordinate s is 1/(2(1+|s|)) from the nearer end of its
+    two-point interval and 1/(2|s|+1) from the point at infinity of its
+    one-point circle, so T is the least |s| at which that is <= radius.
+    The end is the only limit that close when each copy's canonical ends
+    sit where its layout puts them and every other limit of its piece is
+    more than `radius` from the copy's range; other pieces are at least
+    1 away."""
+    if not 0 < radius < Fraction(1, 2):
+        return None
+    if space.kind == ONE_POINT:
+        bound, ends = math.ceil((1 / Fraction(radius) - 1) / 2), (O_INF,)
+    else:
+        bound, ends = math.ceil(1 / (2 * Fraction(radius))) - 1, (M_INF, P_INF)
+    for tag in space.copies:
+        own = [canonical(space, Point(c, tag)) for c in ends]
+        if any(p.copy not in space.copies
+               or _line_coordinate(space, p)
+               != _line_coordinate(space, Point(c, tag))
+               for c, p in zip(ends, own)):
+            return None
+        lo, hi = _copy_range(space, tag)
+        for q in space.limit_points():
+            x = _line_coordinate(space, q)
+            if (q not in own and _piece(space, q) == _copy_piece(space, tag)
+                    and lo - radius <= x <= hi + radius):
+                return None
+    return bound
 
 
 def limit_distance(space, c, p, sign):

@@ -160,6 +160,33 @@ def test_unwritable_csv_is_a_usage_error(tmp_path, capsys):
         assert "--csv" in err and str(path) in err
 
 
+def test_unwritable_csv_fails_before_computing(tmp_path, monkeypatch,
+                                              capsys):
+    from meandyn import averaging, cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the profile was computed before --csv was checked")
+
+    monkeypatch.setattr(averaging, "besicovitch_profile", refuse)
+    path = tmp_path / "missing" / "x.csv"
+    assert cli.main(AVG + ["--csv", str(path)]) == 2
+    assert "--csv" in capsys.readouterr().err
+
+
+def test_csv_check_truncates_nothing(tmp_path, monkeypatch):
+    from meandyn import averaging, cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(averaging, "besicovitch_profile", broken)
+    path = tmp_path / "kept.csv"
+    path.write_text("earlier output\n")
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(AVG + ["--csv", str(path)])
+    assert path.read_text() == "earlier output\n"
+
+
 @pytest.mark.parametrize("argv", [
     AVG,
     DENSITY_AT_START,

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from meandyn import folner, measures, spaces
 from meandyn.folner import LampBox, ZCentered, ZInitial, ZShifted
-from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, MINF1, MINF2, PINF1,
-                             PINF2, THREE_GLUED, TP_MINF, TP_PINF, TWO_POINT,
-                             down, lamplighter_corner_measure, up)
+from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
+                             MINF1, MINF2, PINF1, PINF2, THREE_GLUED, TP_MINF,
+                             TP_PINF, TWO_POINT, down,
+                             lamplighter_corner_measure, up)
 from meandyn.groups import Lamp
 from meandyn.measures import (cluster_detect, combine, dirac, empirical,
                               heavy_limits, measure, support_union_estimate,
@@ -461,3 +462,70 @@ def test_mixed_space_rejected():
 def test_empty_inputs_are_named():
     with pytest.raises(ValueError, match="combine"):
         combine([])
+
+
+# spaces the tail-interval reading covers: every integer-window system,
+# lamplighter-z under both actions, and unglued copies laid out apart
+TAIL_SPACES = [
+    TWO_POINT, THREE_GLUED, LITERATURE_DOCK, LAMPLIGHTER_Z,
+    spaces.one_point_space((0, 1), action=spaces.TRANSLATE,
+                           name="lamplighter-z-translate"),
+    spaces.two_point_space((1, 2, 3), layout=((0, 1), (4, -1), (8, 1)),
+                           name="far-layout"),
+]
+
+
+@st.composite
+def tail_cases(draw):
+    space = draw(st.sampled_from(TAIL_SPACES))
+    limits = ([spaces.O_INF] if space.kind == spaces.ONE_POINT
+              else [spaces.M_INF, spaces.P_INF])
+    point = st.builds(Point, st.one_of(st.integers(-30, 30),
+                                       st.sampled_from(limits)),
+                      st.sampled_from(space.copies))
+    start = draw(st.one_of(point, st.tuples(point, point)))
+    family = draw(st.sampled_from([ZInitial(), ZCentered(), ZShifted()]))
+    return space, start, family, draw(st.integers(1, 60))
+
+
+@settings(deadline=None, max_examples=300)
+@given(tail_cases())
+def test_heavy_limits_from_tail_intervals_equal_the_measure_path(case):
+    space, start, family, n = case
+    want = heavy_limits(empirical(space, start, family, n))
+    assert measures._heavy_limits_of(space, start, family, n,
+                                     folner.ATOM_BUDGET) == want
+    assert support_union_estimate(space, [start], [family], n) \
+        == [p for p, _ in want]
+
+
+@pytest.mark.parametrize("start, heavy", [
+    (Point(-8, 1), [TP_MINF, TP_PINF]),   # 5 of 100 shifts snap down
+    (Point(-7, 1), [TP_PINF]),            # 4 of 100 do not count
+])
+def test_support_estimate_at_the_heavy_weight(start, heavy):
+    # coordinates s..s+99: s..-4 snap to -inf, exactly at 1/20 for s = -8
+    assert support_union_estimate(TWO_POINT, [start], [ZInitial()], 100) \
+        == heavy == [p for p, _ in heavy_limits(
+            empirical(TWO_POINT, start, ZInitial(), 100))]
+
+
+def test_support_estimate_on_the_three_glued_row_builds_no_measure(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("support estimate built a measure")
+
+    monkeypatch.setattr(measures, "empirical", refuse)
+    monkeypatch.setattr(measures, "heavy_limits", refuse)
+    limits = [MINF1, PINF1, MINF2, PINF2]
+    points = support_union_estimate(
+        THREE_GLUED, [Point(0, 1), Point(0, 2), Point(0, 3), *limits],
+        [ZInitial(), ZCentered()], 200)
+    assert points == sorted(limits,
+                            key=lambda p: spaces.sort_key(THREE_GLUED, p))
+
+
+def test_support_estimate_keeps_the_measure_path_for_small_sets():
+    # |F_n| <= 20: a lone atom can be heavy, so the measure path decides
+    got = support_union_estimate(TWO_POINT, [Point(0, 1)], [ZCentered()], 3)
+    assert got == [Point(s, 1) for s in range(-3, 4)]

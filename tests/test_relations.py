@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meandyn import relations, spaces
-from meandyn.folner import ZInitial
-from meandyn.gallery import (LAMPLIGHTER_Z, MINF1, MINF2, PINF1, PINF2,
-                             THREE_GLUED, THREE_GLUED_MODEL, TP_MINF, TP_PINF,
-                             TWO_POINT, TWO_POINT_MODEL, down,
-                             negative_tails_product,
+from meandyn import folner, gallery, relations, spaces
+from meandyn.folner import BudgetError, LampBox, ZCentered, ZInitial, ZShifted
+from meandyn.gallery import (LAMPLIGHTER_Z, LITERATURE_DOCK, MINF1, MINF2,
+                             PINF1, PINF2, THREE_GLUED, THREE_GLUED_MODEL,
+                             TP_MINF, TP_PINF, TWO_POINT, TWO_POINT_MODEL,
+                             down, negative_tails_product,
                              three_glued_expected_hull,
                              two_point_expected_hull, up)
 from meandyn.groups import IntShift
@@ -229,10 +229,20 @@ def test_qrp_finds_a_late_hit_after_the_sorted_check(monkeypatch):
 
 
 QRP_SPACES = [TWO_POINT, THREE_GLUED, LAMPLIGHTER_Z]
+# four unglued copies, each its own piece, with layout ranges further
+# apart than their copy separations
+FAR_LAYOUT = spaces.two_point_space(
+    (1, 2, 3, 4), layout=((0, 1), (3, -1), (6, 1), (9, -1)),
+    name="far-layout")
+LAMPLIGHTER_Z_TRANSLATE = spaces.one_point_space(
+    (0, 1), action=spaces.TRANSLATE, name="lamplighter-z-translate")
+# the spaces the closed forms are compared on against their scans
+CLOSED_FORM_SPACES = [TWO_POINT, THREE_GLUED, LITERATURE_DOCK, LAMPLIGHTER_Z,
+                      LAMPLIGHTER_Z_TRANSLATE, FAR_LAYOUT]
 
 
 def space_points(space, lo=-6, hi=6):
-    limits = [O_INF] if space is LAMPLIGHTER_Z else [M_INF, P_INF]
+    limits = [O_INF] if space.kind == spaces.ONE_POINT else [M_INF, P_INF]
     return st.builds(Point, st.one_of(st.integers(lo, hi),
                                       st.sampled_from(limits)),
                      st.sampled_from(space.copies))
@@ -240,7 +250,7 @@ def space_points(space, lo=-6, hi=6):
 
 @st.composite
 def qrp_cases(draw):
-    space = draw(st.sampled_from(QRP_SPACES))
+    space = draw(st.sampled_from(CLOSED_FORM_SPACES))
     pair = (draw(space_points(space)), draw(space_points(space)))
     epsilons = draw(st.lists(st.sampled_from(
         [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 2)]),
@@ -259,8 +269,9 @@ def test_qrp_equals_ordered_scan_on_random_inputs(case):
 
 
 def test_qrp_negative_row_work_count(monkeypatch):
-    # the scan gives up a scale after about twice the sorted check's
-    # cost; the full triple scan made 150,144 metric calls here
+    # the copy bound fails both scales before any scan, so the only
+    # distances taken pick the perturbations; the full triple scan made
+    # 150,144 metric calls here
     calls = []
     real = relations.metric
 
@@ -268,12 +279,16 @@ def test_qrp_negative_row_work_count(monkeypatch):
         calls.append(1)
         return real(*args)
 
+    def refuse(*args):
+        raise AssertionError("the NEGATIVE row pushed a point along")
+
     monkeypatch.setattr(relations, "metric", counted)
+    monkeypatch.setattr(relations, "act", refuse)
     cert = detect_qrp(THREE_GLUED, (MINF1, PINF2),
                       (Fraction(1, 4), Fraction(1, 8)), shifts(-120, 120, 5),
                       truncation=40)
     assert cert.verdict == NEGATIVE
-    assert len(calls) < 20_000
+    assert len(calls) == 2 * 2 * len(truncate(THREE_GLUED, 40))
 
 
 @st.composite
@@ -301,6 +316,27 @@ def test_closure_margin_equals_pairwise_minimum(case):
                default=Fraction(0))
     cert = forward_closure_negative(space, nbhd, ZInitial(), range(1, 3), trunc)
     assert cert.witnesses[0]["margin"] == want
+
+
+def test_qrp_copy_bound_across_pieces_is_the_copy_separation():
+    # perturbations of the outer copies reach their neighbours at 3/2,
+    # and neighbouring pieces are 1 apart, though their layout ranges
+    # are 2 apart: the scale must be scanned, and it has a hit
+    args = (FAR_LAYOUT, (Point(0, 1), Point(0, 4)), (Fraction(3, 2),),
+            shifts(-10, 10, 5))
+    cert = detect_qrp(*args, truncation=8)
+    assert cert.verdict == POSITIVE
+    assert cert.witnesses[0]["distance"] == 1
+    assert cert.to_json() == reference_qrp(*args, truncation=8).to_json()
+
+
+def test_qrp_empty_perturbation_set_is_inconclusive():
+    args = (THREE_GLUED, (Point(100, 1), Point(100, 2)),
+            [Fraction(1, 10 ** 6)], [IntShift(0)])
+    cert = detect_qrp(*args, truncation=40)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.witnesses[0]["copies"] == ([], [])
+    assert cert.to_json() == reference_qrp(*args, truncation=40).to_json()
 
 
 def test_qrp_rejects_empty_epsilons():
@@ -413,3 +449,86 @@ def test_forward_closure_accepts_a_generator_n_list():
     assert cert.params["checked_elements"] == 3
     assert cert.to_json() == forward_closure_negative(
         THREE_GLUED, nbhd, ZInitial(), range(1, 4), 20).to_json()
+
+
+def test_forward_closure_rejects_an_empty_n_list():
+    with pytest.raises(ValueError, match="n_list"):
+        forward_closure_negative(THREE_GLUED, negative_tails_product(),
+                                 ZInitial(), [], 80)
+
+
+def test_forward_closure_needs_an_integer_window_family():
+    with pytest.raises(ValueError, match="integer window family"):
+        forward_closure_negative(THREE_GLUED, negative_tails_product(),
+                                 LampBox(), [1, 2], 20)
+
+
+def test_forward_closure_keeps_the_budget_check_in_order():
+    with pytest.raises(BudgetError):
+        forward_closure_negative(THREE_GLUED, negative_tails_product(),
+                                 ZCentered(), [1, 10], 20, budget=20)
+    with pytest.raises(ValueError, match="Folner index"):
+        forward_closure_negative(THREE_GLUED, negative_tails_product(),
+                                 ZCentered(), [0, 10], 20, budget=20)
+
+
+def reference_closure(space, nbhd, family, n_list, truncation):
+    """forward_closure_negative as the scan over every element of every
+    requested set, in the order `folner.elements` lists them."""
+    n_list = list(n_list)
+    els = list(dict.fromkeys(g for n in n_list
+                             for g in folner.elements(family, n)))
+    points = truncate(space, truncation)
+    counterexample = next(((p, g) for factor in (nbhd.left, nbhd.right)
+                           for p in points if not contains(space, factor, p)
+                           for g in els
+                           if contains(space, factor, act(space, g, p))), None)
+    margin = relations._product_gap(space, nbhd, points)
+    verdict = (NEGATIVE if counterexample is None and margin > 0
+               else INCONCLUSIVE)
+    return Certificate("forward_closure", None, verdict, None,
+                       [{"margin": margin, "counterexample": counterexample}],
+                       {"family": repr(family), "n_list": n_list,
+                        "truncation": truncation, "checked_elements": len(els),
+                        "checked_points": len(points)})
+
+
+@st.composite
+def closure_cases(draw):
+    space = draw(st.sampled_from(CLOSED_FORM_SPACES))
+
+    def point_set():
+        points = draw(st.frozensets(space_points(space, -12, 12), max_size=3))
+        tails = draw(st.lists(st.builds(
+            Tail, st.sampled_from(space.copies), st.sampled_from(["le", "ge"]),
+            st.integers(-12, 12)), max_size=3))
+        return PointSet(points, tuple(tails))
+
+    family = draw(st.sampled_from([ZInitial(), ZCentered(), ZShifted()]))
+    n_list = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    return (space, ProductOf(point_set(), point_set()), family, n_list,
+            draw(st.integers(1, 10)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(closure_cases())
+def test_closure_equals_the_element_scan(case):
+    assert forward_closure_negative(*case).to_json() \
+        == reference_closure(*case).to_json()
+
+
+@pytest.mark.parametrize("family", [ZInitial(), ZCentered(), ZShifted()],
+                         ids=repr)
+def test_closure_equals_the_element_scan_on_the_gallery_target(family):
+    case = (THREE_GLUED, negative_tails_product(), family,
+            [3, 1, 12, 7], 30)
+    assert forward_closure_negative(*case).to_json() \
+        == reference_closure(*case).to_json()
+
+
+def test_three_glued_rows_enumerate_no_folner_set(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a three-glued row enumerated F_n")
+
+    monkeypatch.setattr(folner, "elements", refuse)
+    assert gallery.verify("three-glued", "quick").ok

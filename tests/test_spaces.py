@@ -8,10 +8,11 @@ from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
                              MINF1, MINF2, PINF1, PINF2, THREE_GLUED,
                              TWO_POINT, down, up)
 from meandyn.groups import IntShift, Lamp
-from meandyn.spaces import (Ball, M_INF, O_INF, P_INF, Point, PointSet,
-                            ProductOf, Tail, act, canonical, contains, embed,
-                            metric, nearest_distance, parse_point,
-                            render_point, truncate)
+from meandyn.spaces import (Ball, M_INF, ONE_POINT, O_INF, P_INF, Point,
+                            PointSet, ProductOf, Tail, act, canonical,
+                            contains, copy_gap, embed, metric,
+                            nearest_distance, parse_point, render_point,
+                            snap_threshold, truncate, two_point_space)
 
 SPACES = [LITERATURE_DOCK, LAMPLIGHTER_Z, LAMPLIGHTER, TWO_POINT, THREE_GLUED]
 
@@ -198,3 +199,59 @@ def test_nearest_distance_single_points_and_empty_sides():
         nearest_distance(s, [MINF1], [])
     with pytest.raises(ValueError, match="not in space"):
         nearest_distance(s, [MINF1], [Point(0, 9)])
+
+
+FAR_LAYOUT = two_point_space((1, 2, 3, 4),
+                             layout=((0, 1), (3, -1), (6, 1), (9, -1)),
+                             name="far-layout")
+# copies 2 and 3 both hang off +inf^1 and share the unit segment [1, 2]
+BRANCHED = two_point_space((1, 2, 3), layout=((0, 1), (1, 1), (1, 1)),
+                           gluings=((Point(M_INF, 2), Point(P_INF, 1)),
+                                    (Point(M_INF, 3), Point(P_INF, 1))),
+                           name="branched")
+
+
+@pytest.mark.parametrize("space", SPACES + [FAR_LAYOUT, BRANCHED],
+                         ids=lambda s: s.name)
+def test_copy_gap_bounds_every_distance_between_two_copies(space):
+    points = truncate(space, 6)
+    for a, b in itertools.product(space.copies, repeat=2):
+        least = min(metric(space, p, q) for p in points if p.copy == a
+                    for q in points if q.copy == b)
+        assert least >= copy_gap(space, a, b)
+
+
+def test_copy_gap_values():
+    assert copy_gap(THREE_GLUED, 1, 2) == 1     # one piece: layout ranges
+    assert copy_gap(THREE_GLUED, 1, 3) == 0
+    assert copy_gap(LAMPLIGHTER_Z, 0, 1) == 1   # across pieces: separation
+    # ranges [0, 1] and [6, 7] are 5 apart, but the copies sit in
+    # different pieces, 2 apart
+    assert copy_gap(FAR_LAYOUT, 1, 3) == 2
+
+
+@pytest.mark.parametrize("space", SPACES + [FAR_LAYOUT],
+                         ids=lambda s: s.name)
+def test_snap_threshold_is_exact(space):
+    radius = Fraction(1, 10)
+    bound = snap_threshold(space, radius)
+    assert bound == (5 if space.kind == ONE_POINT else 4)
+    limits = space.limit_points()
+    for tag, s in itertools.product(space.copies, range(-20, 21)):
+        near = [q for q in limits if metric(space, q, Point(s, tag)) <= radius]
+        if abs(s) < bound:
+            assert near == []
+        else:
+            end = (O_INF if space.kind == ONE_POINT
+                   else P_INF if s > 0 else M_INF)
+            assert near == [canonical(space, Point(end, tag))]
+
+
+def test_snap_threshold_needs_a_proof():
+    # a copy's end shares its place with another copy's end
+    assert snap_threshold(BRANCHED, Fraction(1, 10)) is None
+    # a glued end sits away from the place its layout gives it
+    moved = two_point_space((1, 2), layout=((0, 1), (2, 1)),
+                            gluings=((Point(M_INF, 2), Point(P_INF, 1)),))
+    assert snap_threshold(moved, Fraction(1, 10)) is None
+    assert snap_threshold(TWO_POINT, Fraction(1, 2)) is None
