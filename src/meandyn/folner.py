@@ -91,6 +91,17 @@ def window_indices(window):
     return range(lo, hi + 1)
 
 
+def union(windows):
+    """The union of integer ranges (lo, hi), as sorted disjoint ranges."""
+    out = []
+    for lo, hi in sorted(windows):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
 def shift_window(family, n):
     """The shifts (lo, hi) that make up the n-th set of an integer
     window family, or None for a family that is not one."""
@@ -133,13 +144,10 @@ def defect(family, n, K, budget=ATOM_BUDGET):
 
 
 def _window_defect(lo, hi, K):
-    outside = 0
-    end = None  # the last shift counted; windows of equal width, sorted
-    for k in sorted({_checked(k, IntShift(lo)).a for k in K}):
-        first = lo + k if end is None else max(lo + k, end + 1)
-        end = hi + k
-        inside = max(0, min(end, hi) - max(first, lo) + 1)
-        outside += end - first + 1 - inside
+    moved = union([(lo + k, hi + k)
+                   for k in {_checked(k, IntShift(lo)).a for k in K}])
+    outside = sum(b - a + 1 - max(0, min(b, hi) - max(a, lo) + 1)
+                  for a, b in moved)
     return Fraction(outside, hi - lo + 1)
 
 

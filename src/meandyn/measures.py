@@ -19,11 +19,11 @@ The two routes agree on their overlap, which the test suite checks.
 The limit probes read four module constants: `cluster_detect` compares
 the last CLUSTER_TAIL measures against CLUSTER_TOL, and `heavy_limits`
 merges atoms within SNAP_RADIUS of a limit point and keeps the limits
-of weight at least HEAVY_WEIGHT.  `support_union_estimate` reads those
-heavy limits without building a measure when the start moves by the
-shifts of an integer window with more than 1/HEAVY_WEIGHT elements:
-each finite leg snaps on one interval of shifts per end, so the weights
-are interval overlaps (`_tail_limits`).
+of weight at least HEAVY_WEIGHT.  One snap rule does the merging: where
+`spaces.snap_threshold` proves a threshold T, a finite leg merges
+exactly when |coord| >= T, into its own copy's end, and elsewhere into
+its nearest limit.  `support_union_estimate` applies the same rule to
+the image counts of the pushforward kernel, so it builds no measure.
 """
 
 import itertools
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import folner, spaces
-from .groups import INTEGERS, IntShift
 from .pushforward import images
 from .spaces import canonical, component, embed, metric, sort_key
 
@@ -274,20 +273,40 @@ def heavy_limits(m):
     """The (point, weight) atoms of `m` once each atom has merged into
     the limit point within SNAP_RADIUS of it (coordinatewise for pairs),
     keeping those of weight at least HEAVY_WEIGHT, in sort_key order."""
-    space = m.space
+    return _heavy(m.space, m.atoms, 1)
+
+
+def _heavy(space, weighted, total):
+    """heavy_limits of the (point, weight) entries, each weight read as
+    weight / total.
+
+    Where `spaces.snap_threshold` proves T for SNAP_RADIUS, a finite
+    leg merges into a limit exactly when |coord| >= T, and that limit
+    is its own copy's end on the side of coord's sign (the point at
+    infinity, on a one-point circle), so no metric is evaluated.
+    Elsewhere each leg merges into its nearest limit when that is
+    within SNAP_RADIUS.  A limit leg is its own nearest limit."""
+    bound = spaces.snap_threshold(space, SNAP_RADIUS)
     limits = space.limit_points()
 
     def snap(p):
         if isinstance(p, tuple):
             return tuple(snap(q) for q in p)
-        best = min(limits, key=lambda l: metric(space, l, p))
-        return best if metric(space, best, p) <= SNAP_RADIUS else p
+        if bound is None:
+            best = min(limits, key=lambda l: metric(space, l, p))
+            return best if metric(space, best, p) <= SNAP_RADIUS else p
+        if p.is_limit() or abs(p.coord) < bound:
+            return p
+        end = (spaces.O_INF if space.kind == spaces.ONE_POINT
+               else spaces.P_INF if p.coord > 0 else spaces.M_INF)
+        return canonical(space, spaces.Point(end, p.copy))
 
     acc = {}
-    for p, w in m.atoms:
+    for p, w in weighted:
         q = snap(p)
         acc[q] = acc.get(q, 0) + w
-    return sorted(((p, w) for p, w in acc.items() if w >= HEAVY_WEIGHT),
+    heavy = ((p, Fraction(w, total)) for p, w in acc.items())
+    return sorted(((p, w) for p, w in heavy if w >= HEAVY_WEIGHT),
                   key=lambda it: sort_key(space, it[0]))
 
 
@@ -317,76 +336,16 @@ def cluster_detect(measures):
 def support_union_estimate(space, starts, families, n, budget=folner.ATOM_BUDGET):
     """Finite estimate of the union of supports of invariant limit
     measures: the heavy limits of each empirical measure, unioned over
-    starts and families, in sort_key order."""
-    points = {p for fam in families for start in starts
-              for p, _ in _heavy_limits_of(space, start, fam, n, budget)}
+    starts and families, in sort_key order.  They are read from the
+    image counts of each start, each of weight count / |F_n|, with no
+    measure built."""
+    points = set()
+    for fam in families:
+        for start in starts:
+            counts = images(space, start, fam, n, budget=budget)
+            points.update(p for p, _ in _heavy(space, counts.items(),
+                                                sum(counts.values())))
     return sorted(points, key=lambda p: sort_key(space, p))
-
-
-def _heavy_limits_of(space, start, family, n, budget):
-    """heavy_limits(empirical(space, start, family, n, budget)).  When
-    the start, a point or a tuple of points, moves by the shifts of an
-    integer window of more than 1/HEAVY_WEIGHT elements on a space whose
-    gluings alias only limit points, and `spaces.snap_threshold` proves
-    where its legs snap, they are read from tail intervals of shifts
-    (`_tail_limits`) and no measure is built."""
-    size = folner.cardinality(family, n, budget)
-    window = folner.shift_window(family, n)
-    legs = start if isinstance(start, tuple) else (start,)
-    bound = (window is not None and size * HEAVY_WEIGHT > 1 and legs
-             and all(isinstance(p, spaces.Point) for p in legs)
-             and space.group == INTEGERS and spaces.glues_limits_only(space)
-             and spaces.snap_threshold(space, SNAP_RADIUS))
-    if not bound:
-        return heavy_limits(empirical(space, start, family, n, budget))
-    return _tail_limits(space, start, window[0], size, bound)
-
-
-def _tail_limits(space, start, lo, size, bound):
-    """heavy_limits of the empirical measure of `start` over the `size`
-    shifts from lo on, size > 1 / HEAVY_WEIGHT, with no measure built.
-
-    A finite leg snaps exactly when |coord| >= bound, to its own copy's
-    end on the side of coord's sign, and its coordinate moves by one per
-    shift, so the shifts that snap it to each end form one interval.
-    A limit leg stays put.  The shifts that snap every leg to a given
-    tuple of ends are the overlap of those intervals with the window,
-    and that count over size is the tuple's weight.  An atom with a leg
-    left unsnapped moves with every shift, so it keeps weight 1 / size
-    and is never heavy."""
-    moved = spaces.act(space, IntShift(lo), start)  # checks the start
-    step = 1 if space.action == spaces.TRANSLATE else -1
-    last = size - 1
-
-    def shifts(sign, least):
-        # the k in [0, last] with sign * k >= least, sign = +1 or -1
-        return (max(0, least), last) if sign > 0 else (0, min(last, -least))
-
-    upper, lower = ((spaces.O_INF, spaces.O_INF)
-                    if space.kind == spaces.ONE_POINT
-                    else (spaces.P_INF, spaces.M_INF))
-    choices = []  # per leg: (snapped leg, first k, last k), shift lo + k
-    for p in (moved if isinstance(start, tuple) else (moved,)):
-        if p.is_limit():
-            choices.append([(p, 0, last)])
-            continue
-        # at shift lo + k the leg sits at p.coord + step * k
-        choices.append([
-            (canonical(space, spaces.Point(upper, p.copy)),
-             *shifts(step, bound - p.coord)),
-            (canonical(space, spaces.Point(lower, p.copy)),
-             *shifts(-step, bound + p.coord))])
-    counts = {}
-    for combo in itertools.product(*choices):
-        first_k = max(k for _, k, _ in combo)
-        last_k = min(k for _, _, k in combo)
-        if first_k <= last_k:
-            atom = tuple(q for q, _, _ in combo)
-            atom = atom if isinstance(start, tuple) else atom[0]
-            counts[atom] = counts.get(atom, 0) + last_k - first_k + 1
-    return sorted(((p, Fraction(c, size)) for p, c in counts.items()
-                   if Fraction(c, size) >= HEAVY_WEIGHT),
-                  key=lambda it: sort_key(space, it[0]))
 
 
 def measure_to_json(m):

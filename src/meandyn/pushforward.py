@@ -108,8 +108,7 @@ def _tails(space, pair, nbhd):
     d = 0 the limit sits on the sphere and nothing is proved."""
     if not (space.group == INTEGERS and isinstance(nbhd, Ball)
             and isinstance(pair, tuple) and isinstance(nbhd.center, tuple)
-            and isinstance(nbhd.radius, (int, Fraction))
-            and spaces.glues_limits_only(space)):
+            and isinstance(nbhd.radius, (int, Fraction))):
         return None
     # a glued alias is a limit point, so canonical forms change no offset
     offsets = [abs(p.coord) for p in pair if not p.is_limit()]
@@ -165,11 +164,7 @@ def _window(family, n, translate):
 def _window_totals(space, start, windows, weight):
     """Sum of weight(a.start) over the shifts a of each window, applying
     every shift in the union of the windows once."""
-    shifts = []
-    for lo, hi in sorted(windows):
-        if shifts:
-            lo = max(lo, shifts[-1] + 1)
-        shifts.extend(range(lo, hi + 1))
+    shifts = [a for lo, hi in folner.union(windows) for a in range(lo, hi + 1)]
     prefix = [0]
     for a in shifts:
         prefix.append(prefix[-1] + weight(spaces.act(space, IntShift(a), start)))

@@ -10,17 +10,15 @@ NEGATIVE certificate carries a finitely checked structural obstruction
 Everything else is INCONCLUSIVE.
 
 The regional-proximality probe scans perturbed pairs in a fixed order,
-so its witness is the first hit; a scale without one is ruled out by an
-exact sorted nearest-distance check per element
-(`spaces.nearest_distance`), which also gives the forward-closure
-certificate its margin.  Before any scan, a scale whose perturbations
-lie in copies at least eps apart (`spaces.copy_gap`) fails outright:
-integer shifts keep every point in its own copy.
+so its witness is the first hit.  Before the scan, a scale whose
+perturbations lie in copies at least eps apart (`spaces.copy_gap`)
+fails outright: integer shifts keep every point in its own copy.
 
 The forward-closure certificate decides point by point, from the two
 extreme shifts of each range of its element union, whether any shift
 carries a point into the target; it scans elements only to name the
-first counterexample.
+first counterexample.  Its margin is an exact sorted nearest-distance
+check (`spaces.nearest_distance`).
 """
 
 from dataclasses import dataclass, field
@@ -179,9 +177,9 @@ def forward_closure_negative(space, nbhd, family, n_list, truncation,
     The element range is the union of the shift windows of an integer
     window family over `n_list`, and whether a point enters a factor
     under it is read from the extreme shifts of each range (`_enters`).
-    Only when some point does enter, or on a space that glues finite
-    points, are the shifts scanned, in the order the windows list them,
-    so the counterexample reported is the first in that order."""
+    Only when some point does enter are the shifts scanned, in the order
+    the windows list them, so the counterexample reported is the first
+    in that order."""
     if not (isinstance(nbhd, ProductOf)
             and isinstance(nbhd.left, PointSet)
             and isinstance(nbhd.right, PointSet)):
@@ -196,13 +194,12 @@ def forward_closure_negative(space, nbhd, family, n_list, truncation,
     if None in windows:
         raise ValueError("forward closure needs an integer window family, "
                          "got %r" % (family,))
-    ranges = _union(windows)
+    ranges = folner.union(windows)
     points = truncate(space, truncation)
     outside = [(factor, p) for factor in (nbhd.left, nbhd.right)
                for p in points if not contains(space, factor, p)]
     counterexample = None
-    if not spaces.glues_limits_only(space) or any(
-            _enters(space, factor, p, ranges) for factor, p in outside):
+    if any(_enters(space, factor, p, ranges) for factor, p in outside):
         shifts = dict.fromkeys(IntShift(a) for lo, hi in windows
                                for a in range(lo, hi + 1))
         counterexample = next(((p, g) for factor, p in outside for g in shifts
@@ -220,21 +217,9 @@ def forward_closure_negative(space, nbhd, family, n_list, truncation,
                         "checked_points": len(points)})
 
 
-def _union(windows):
-    """The union of integer ranges (lo, hi), as sorted disjoint ranges."""
-    out = []
-    for lo, hi in sorted(windows):
-        if out and lo <= out[-1][1] + 1:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
 def _enters(space, factor, p, ranges):
     """Whether a shift in one of `ranges` moves p into the point set
-    `factor`, on a space whose finite points are their own canonical
-    forms.  A limit stays put.  A finite point runs through consecutive
+    `factor`.  A limit stays put.  A finite point runs through consecutive
     coordinates of its own copy, so over a range it reaches a Tail
     exactly when the image under an extreme shift lies in it, and a
     listed point exactly when that point sits between the two images."""
@@ -327,34 +312,15 @@ def detect_qrp(space, pair, epsilons, elements, truncation=40):
 
 def _first_hit(space, eps, near_x, near_y, elements, orbit):
     """Witness of the first (y, y2, g) in scan order with
-    d(g.y, g.y2) < eps, or None.
-
-    Once the ordered scan has spent as many distance evaluations as one
-    sorted nearest-distance check per element costs, that check runs
-    once; when no element brings near_x within eps of near_y, the scale
-    fails there instead of after |near_x|·|near_y|·|elements| calls."""
-    # both are multiples of len(elements), so spent meets check_at once
-    check_at = len(elements) * (len(near_x) + len(near_y))
-    spent = 0
+    d(g.y, g.y2) < eps, or None."""
     for y in near_x:
         for y2 in near_y:
-            if spent == check_at and not _some_element_hits(
-                    space, eps, near_x, near_y, orbit):
-                return None
             for g, gy, gy2 in zip(elements, orbit(y), orbit(y2)):
                 d = metric(space, gy, gy2)
                 if d < eps:
                     return {"epsilon": float(eps), "pair": (y, y2),
                             "element": g, "distance": d}
-            spent += len(elements)
     return None
-
-
-def _some_element_hits(space, eps, near_x, near_y, orbit):
-    # orbit(y)[i] is y moved by the i-th element
-    moved = zip(zip(*map(orbit, near_x)), zip(*map(orbit, near_y)))
-    return any(spaces.nearest_distance(space, gx, gy) < eps
-               for gx, gy in moved)
 
 
 def _copy_bound(space, copies):

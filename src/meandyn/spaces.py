@@ -7,7 +7,8 @@ Two building blocks, each available in several tagged copies:
 * two-point intervals: the integers plus distinct limits at either
   end, embedded order-preservingly into a unit segment.
 
-Copies of two-point intervals may be glued at their limit points; the
+Copies of two-point intervals may be glued at their limit points, and
+only there (`two_point_space` rejects a gluing with a finite point); the
 glued chain is laid out as consecutive unit segments so that the
 metric on one connected component is plain distance along the line.
 Points in different components sit at distance equal to their copy
@@ -74,8 +75,13 @@ def two_point_space(copies=(1,), layout=None, gluings=(), group=INTEGERS,
                     action=TRANSLATE, name=""):
     if layout is None:
         layout = tuple((i, 1) for i in range(len(copies)))
+    gluings = tuple(gluings)
+    for alias, rep in gluings:
+        if not (alias.is_limit() and rep.is_limit()):
+            raise ValueError("gluing (%r, %r) has a finite point: only limit "
+                             "points may be glued" % (alias, rep))
     return Space(TWO_POINT, tuple(copies), group, action,
-                 layout=tuple(layout), gluings=tuple(gluings), name=name)
+                 layout=tuple(layout), gluings=gluings, name=name)
 
 
 def canonical(space, p):
@@ -83,12 +89,6 @@ def canonical(space, p):
         if p == alias:
             return rep
     return p
-
-
-def glues_limits_only(space):
-    """Whether every gluing aliases a limit point, so that every finite
-    point is its own canonical form."""
-    return all(alias.is_limit() for alias, _ in space.gluings)
 
 
 def _checked(space, p):
@@ -285,8 +285,7 @@ def limit_distance(space, c, p, sign):
     copy into the end the action sends it to (+inf or -inf of that copy
     on a two-point interval, inf on a one-point circle), and the
     distance converges to the line distance from c to that end, or
-    stays the copy separation when c lies in another piece.  A finite
-    point that a gluing aliases is not supported."""
+    stays the copy separation when c lies in another piece."""
     c, p = _checked(space, c), _checked(space, p)
     if p.is_limit():
         return _metric1(space, c, p)

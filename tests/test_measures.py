@@ -464,8 +464,8 @@ def test_empty_inputs_are_named():
         combine([])
 
 
-# spaces the tail-interval reading covers: every integer-window system,
-# lamplighter-z under both actions, and unglued copies laid out apart
+# spaces where spaces.snap_threshold proves T: every integer-window
+# system, lamplighter-z under both actions, unglued copies laid out apart
 TAIL_SPACES = [
     TWO_POINT, THREE_GLUED, LITERATURE_DOCK, LAMPLIGHTER_Z,
     spaces.one_point_space((0, 1), action=spaces.TRANSLATE,
@@ -473,28 +473,76 @@ TAIL_SPACES = [
     spaces.two_point_space((1, 2, 3), layout=((0, 1), (4, -1), (8, 1)),
                            name="far-layout"),
 ]
+# layouts where T is not proved: two copies hang off +inf^1 on one unit
+# segment, and a glued end sits away from the place its layout gives it
+BRANCHED = spaces.two_point_space(
+    (1, 2, 3), layout=((0, 1), (1, 1), (1, 1)),
+    gluings=((Point("-inf", 2), Point("+inf", 1)),
+             (Point("-inf", 3), Point("+inf", 1))), name="branched")
+MOVED_END = spaces.two_point_space(
+    (1, 2), layout=((0, 1), (2, 1)),
+    gluings=((Point("-inf", 2), Point("+inf", 1)),), name="moved-end")
+
+
+def nearest_limit_heavy(m):
+    """heavy_limits by the nearest-limit rule: each leg merges into the
+    nearest limit point when that lies within SNAP_RADIUS of it."""
+    space = m.space
+    limits = space.limit_points()
+
+    def snap(p):
+        if isinstance(p, tuple):
+            return tuple(snap(q) for q in p)
+        best = min(limits, key=lambda l: metric(space, l, p))
+        return best if metric(space, best, p) <= measures.SNAP_RADIUS else p
+
+    acc = {}
+    for p, w in m.atoms:
+        q = snap(p)
+        acc[q] = acc.get(q, 0) + w
+    return sorted(((p, w) for p, w in acc.items()
+                   if w >= measures.HEAVY_WEIGHT),
+                  key=lambda it: spaces.sort_key(space, it[0]))
 
 
 @st.composite
-def tail_cases(draw):
-    space = draw(st.sampled_from(TAIL_SPACES))
+def snap_cases(draw):
+    space = draw(st.sampled_from(TAIL_SPACES + [BRANCHED, MOVED_END,
+                                                LAMPLIGHTER]))
+    if space is LAMPLIGHTER:
+        family, n, coords = LampBox(), draw(st.integers(1, 6)), (-3, 15)
+    else:
+        family = draw(st.sampled_from([ZInitial(), ZCentered(), ZShifted()]))
+        n, coords = draw(st.integers(1, 60)), (-30, 30)
     limits = ([spaces.O_INF] if space.kind == spaces.ONE_POINT
               else [spaces.M_INF, spaces.P_INF])
-    point = st.builds(Point, st.one_of(st.integers(-30, 30),
-                                       st.sampled_from(limits)),
-                      st.sampled_from(space.copies))
-    start = draw(st.one_of(point, st.tuples(point, point)))
-    family = draw(st.sampled_from([ZInitial(), ZCentered(), ZShifted()]))
-    return space, start, family, draw(st.integers(1, 60))
+
+    def points(lo, hi):
+        return st.builds(Point, st.one_of(st.integers(lo, hi),
+                                          st.sampled_from(limits)),
+                         st.sampled_from(space.copies))
+
+    def atoms(lo, hi, pairs):
+        return (st.tuples(points(lo, hi), points(lo, hi)) if pairs
+                else points(lo, hi))
+
+    start = draw(atoms(*coords, draw(st.booleans())))
+    # a few heavy atoms near the threshold, where snapping decides
+    near = draw(st.lists(atoms(-8, 8, draw(st.booleans())),
+                         min_size=1, max_size=6))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(near),
+                            max_size=len(near)))
+    m = measure(space, [(p, Fraction(w, sum(weights)))
+                        for p, w in zip(near, weights)])
+    return space, start, family, n, m
 
 
-@settings(deadline=None, max_examples=300)
-@given(tail_cases())
-def test_heavy_limits_from_tail_intervals_equal_the_measure_path(case):
-    space, start, family, n = case
-    want = heavy_limits(empirical(space, start, family, n))
-    assert measures._heavy_limits_of(space, start, family, n,
-                                     folner.ATOM_BUDGET) == want
+@settings(deadline=None, max_examples=400)
+@given(snap_cases())
+def test_snap_rule_equals_the_nearest_limit_rule(case):
+    space, start, family, n, m = case
+    assert heavy_limits(m) == nearest_limit_heavy(m)
+    want = nearest_limit_heavy(empirical(space, start, family, n))
     assert support_union_estimate(space, [start], [family], n) \
         == [p for p, _ in want]
 
@@ -526,6 +574,6 @@ def test_support_estimate_on_the_three_glued_row_builds_no_measure(
 
 
 def test_support_estimate_keeps_the_measure_path_for_small_sets():
-    # |F_n| <= 20: a lone atom can be heavy, so the measure path decides
+    # |F_n| <= 20: a lone atom can be heavy
     got = support_union_estimate(TWO_POINT, [Point(0, 1)], [ZCentered()], 3)
     assert got == [Point(s, 1) for s in range(-3, 4)]

@@ -255,3 +255,15 @@ def test_snap_threshold_needs_a_proof():
                             gluings=((Point(M_INF, 2), Point(P_INF, 1)),))
     assert snap_threshold(moved, Fraction(1, 10)) is None
     assert snap_threshold(TWO_POINT, Fraction(1, 2)) is None
+
+
+def test_only_limit_points_may_be_glued():
+    for gluing in [(Point(0, 2), Point(P_INF, 1)),
+                   (Point(M_INF, 2), Point(3, 1)),
+                   (Point(0, 2), Point(-1, 1))]:
+        with pytest.raises(ValueError, match="only limit points may be glued"):
+            two_point_space((1, 2), gluings=[gluing])
+    # gluings may come from a generator, which is read once
+    glued = two_point_space((1, 2), gluings=iter([(Point(M_INF, 2),
+                                                  Point(P_INF, 1))]))
+    assert glued.gluings == ((Point(M_INF, 2), Point(P_INF, 1)),)
