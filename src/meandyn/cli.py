@@ -172,12 +172,12 @@ def cmd_detect(args):
     case = system.case(pair)
     if case is None:
         raise SystemExit2("no registered witnesses for %r" % (args.pair,))
-    certs = case.run(space, system.schedule(gallery.PROFILES[args.profile]),
-                     args.budget)
-    if args.relation != "all":
-        if args.relation not in certs:
-            raise SystemExit2("no %s certificate for this pair" % args.relation)
-        certs = {args.relation: certs[args.relation]}
+    schedule = system.schedule(gallery.PROFILES[args.profile])
+    kinds = case.kinds() if args.relation == "all" else (args.relation,)
+    if not set(kinds) <= set(case.kinds()):
+        raise SystemExit2("no %s certificate for this pair" % args.relation)
+    certs = {k: case.certificate(k, space, schedule, args.budget)
+             for k in kinds}
     _emit({"system": args.system, "pair": args.pair, "profile": args.profile,
            "certificates": {k: c.to_json() for k, c in certs.items()}})
     return 0

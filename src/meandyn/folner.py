@@ -59,7 +59,7 @@ class LampBox:
 def group_of_family(family):
     if isinstance(family, LampBox):
         return LAMPLIGHTER
-    if isinstance(family, (ZInitial, ZCentered, ZShifted)):
+    if shift_window(family, 1) is not None:
         return INTEGERS
     raise TypeError("not a Folner family: %r" % (family,))
 
@@ -67,12 +67,9 @@ def group_of_family(family):
 def cardinality(family, n, budget=ATOM_BUDGET):
     if n < 1:
         raise ValueError("Folner index must be >= 1")
-    if isinstance(family, ZInitial):
-        size = n
-    elif isinstance(family, ZCentered):
-        size = 2 * n + 1
-    elif isinstance(family, ZShifted):
-        size = n + 1
+    window = shift_window(family, n)
+    if window is not None:
+        size = window[1] - window[0] + 1
     elif isinstance(family, LampBox):
         size = (n + 1) * 2 ** (n + 1)
     else:

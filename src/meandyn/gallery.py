@@ -160,7 +160,7 @@ def lamp_schedule(profile):
         swsm_window=(2, m))
 
 
-# detector kinds in certificate order; swsm_f only off the diagonal
+# detector kinds in certificate order
 DETECTORS = ("qrms_f", "srjms_f", "qrms_banach", "swsm_f")
 
 
@@ -186,9 +186,14 @@ class PairCase:
         return detect(space, self.pair, family, self.witness, s.radii, s.ks,
                       *last, budget=budget)
 
+    def kinds(self):
+        """Detector kinds this pair runs; swsm_f only off the diagonal."""
+        return tuple(k for k in DETECTORS
+                     if k != "swsm_f" or self.pair[0] != self.pair[1])
+
     def run(self, space, schedule, budget=folner.ATOM_BUDGET):
-        kinds = DETECTORS if self.pair[0] != self.pair[1] else DETECTORS[:-1]
-        return {k: self.certificate(k, space, schedule, budget) for k in kinds}
+        return {k: self.certificate(k, space, schedule, budget)
+                for k in self.kinds()}
 
 
 def _const(pair):

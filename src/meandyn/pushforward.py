@@ -17,14 +17,16 @@ images without enumerating F_n element by element:
   pair.  A right translate t moves the start instead, since
   (f.t).x = f.(t.x).
 
-`means` takes an opaque weight and sweeps.  `hit_means` takes the
-neighbourhood itself, so for a Ball around a pair on an integer space it
-can use that the hitting set is eventually constant: with an exact
-integer A and the two limit verdicts (`_tails`), it runs `contains` only
-on the requested shifts inside [-A, A] and counts each window's overlap
-with (A, inf) and (-inf, -A).  Its cost then grows with A, not with the
-window or the translate range.  Every other neighbourhood, a limit on
-the sphere, a LampBox and a lamplighter space take the sweep.
+`_means` is the one loop over the resolved sets.  `means` hands it an
+opaque weight.  `hit_means` hands it the neighbourhood's membership and,
+for a Ball around a pair on an integer space, the eventually constant
+hitting set: with an exact integer A and the two limit verdicts
+(`_tails`), every window is swept clipped to [-A, A], so `contains` runs
+only on the requested shifts inside it, and the window's overlaps with
+(A, inf) and (-inf, -A) are counted.  Its cost then grows with A, not
+with the window or the translate range.  Without tails (a limit on the
+sphere, another neighbourhood, a lamplighter space) nothing is clipped.
+`images` resolves its one set through the same `_sets`.
 
 Every index answered is checked against the atom budget by
 `folner.cardinality`, so BudgetError fires where enumeration raises it.
@@ -41,13 +43,12 @@ from .groups import INTEGERS, GroupMismatchError, IntShift, Lamp
 from .spaces import Ball
 
 
-def images(space, start, family, n, translate=None, budget=folner.ATOM_BUDGET):
-    """Image multiplicities of `start` under F_n, or under F_n.translate:
-    a Counter whose values sum to |F_n|."""
-    folner.cardinality(family, n, budget)
-    window = _window(family, n, translate)
+def images(space, start, family, n, budget=folner.ATOM_BUDGET):
+    """Image multiplicities of `start` under F_n: a Counter whose values
+    sum to |F_n|."""
+    [(_, _, _, window)] = _sets(family, [(n, None)], budget)
     if window is None:
-        return _box_images(space, _moved(space, translate, start), n)
+        return _box_images(space, start, n)
     return Counter(spaces.act(space, IntShift(a), start)
                    for a in range(window[0], window[1] + 1))
 
@@ -65,30 +66,13 @@ def hit_means(space, pair, nbhd, family, requests, budget=folner.ATOM_BUDGET):
 
     For a Ball around a pair on an integer space, membership is
     constant beyond an exact bound A in each direction (`_tails`), so
-    `contains` runs only on the requested shifts inside [-A, A] and each
-    window adds its overlap with the two constant tails."""
-    sets = _sets(family, requests, budget)
+    `contains` runs only on the requested shifts inside [-A, A]."""
 
     def hit(image):
         return spaces.contains(space, nbhd, image)
 
-    tails = None
-    if all(window is not None for _, _, _, window in sets):
-        tails = _tails(space, pair, nbhd)
-    if tails is None:
-        return _means(space, pair, sets, hit)
-    bound, below, above = tails
-    clipped = [(max(lo, -bound), min(hi, bound))
-               for _, _, _, (lo, hi) in sets]
-    inner = iter(_window_totals(space, pair,
-                                [w for w in clipped if w[0] <= w[1]], hit))
-    out = []
-    for (size, _, _, (lo, hi)), (inner_lo, inner_hi) in zip(sets, clipped):
-        total = next(inner) if inner_lo <= inner_hi else 0
-        total += below * max(0, min(hi, -bound - 1) - lo + 1)
-        total += above * max(0, hi - max(lo, bound + 1) + 1)
-        out.append(Fraction(total, size))
-    return out
+    return _means(space, pair, _sets(family, requests, budget), hit,
+                  _tails(space, pair, nbhd))
 
 
 def _tails(space, pair, nbhd):
@@ -128,37 +112,48 @@ def _tails(space, pair, nbhd):
 
 def _sets(family, requests, budget):
     """(|F_n|, n, translate, shift window or None) per request
-    (n, translate), each index checked against the budget."""
-    return [(folner.cardinality(family, n, budget), n, t, _window(family, n, t))
-            for n, t in requests]
-
-
-def _means(space, start, sets, weight):
-    swept = iter(_window_totals(space, start,
-                                [w for _, _, _, w in sets if w is not None],
-                                weight))
+    (n, translate): the index checked against the budget, then the shift
+    range of F_n.translate for an integer window family, None for a
+    lamplighter box, and the translate checked against its group."""
     out = []
-    for size, n, t, window in sets:
-        if window is None:
-            total = sum(weight(img) * c for img, c in
-                        _box_images(space, _moved(space, t, start), n).items())
-        else:
-            total = next(swept)
-        out.append(Fraction(total, size))
+    for n, t in requests:
+        size = folner.cardinality(family, n, budget)
+        window = folner.shift_window(family, n)
+        if t is not None and not isinstance(t, Lamp if window is None
+                                            else IntShift):
+            raise GroupMismatchError("cannot translate %r by %r" % (family, t))
+        if window is not None and t is not None:
+            window = window[0] + t.a, window[1] + t.a
+        out.append((size, n, t, window))
     return out
 
 
-def _window(family, n, translate):
-    """Shift range (lo, hi) of F_n.translate for an integer window
-    family; None for a lamplighter box."""
-    window = folner.shift_window(family, n)
-    group_element = Lamp if window is None else IntShift
-    if translate is not None and not isinstance(translate, group_element):
-        raise GroupMismatchError("cannot translate %r by %r"
-                                 % (family, translate))
-    if window is None or translate is None:
-        return window
-    return window[0] + translate.a, window[1] + translate.a
+def _means(space, start, sets, weight, tails=None):
+    """Mean of weight over the images of `start`, one Fraction per set.
+
+    The windows are swept once, each clipped to [-A, A] for `tails` =
+    (A, below, above); a window then adds `below` times its overlap with
+    (-inf, -A) and `above` times its overlap with (A, inf).  With no
+    tails nothing is clipped."""
+    bound, below, above = tails or (math.inf, 0, 0)
+    clipped = [w and (max(w[0], -bound), min(w[1], bound))
+               for _, _, _, w in sets]
+    swept = iter(_window_totals(space, start,
+                                [w for w in clipped if w and w[0] <= w[1]],
+                                weight))
+    out = []
+    for (size, n, t, window), inner in zip(sets, clipped):
+        if window is None:
+            total = sum(weight(img) * c for img, c in
+                        _box_images(space, start if t is None else
+                                    spaces.act(space, t, start), n).items())
+        else:
+            lo, hi = window
+            total = next(swept) if inner[0] <= inner[1] else 0
+            total += below * max(0, min(hi, -bound - 1) - lo + 1)
+            total += above * max(0, hi - max(lo, bound + 1) + 1)
+        out.append(Fraction(total, size))
+    return out
 
 
 def _window_totals(space, start, windows, weight):
@@ -170,10 +165,6 @@ def _window_totals(space, start, windows, weight):
         prefix.append(prefix[-1] + weight(spaces.act(space, IntShift(a), start)))
     return [prefix[bisect_right(shifts, hi)] - prefix[bisect_left(shifts, lo)]
             for lo, hi in windows]
-
-
-def _moved(space, translate, start):
-    return start if translate is None else spaces.act(space, translate, start)
 
 
 def _box_images(space, start, n):

@@ -51,8 +51,8 @@ class Certificate:
 
 
 def encode(v):
-    """JSON form of a value: a Fraction as its exact text and a float,
-    a point by its text form, containers entry by entry."""
+    """JSON form of a value: a Fraction as its exact text and a float
+    (a key: its float text), a point by its text, containers by entry."""
     if isinstance(v, Fraction):
         return {"fraction": str(v), "float": float(v)}
     if isinstance(v, spaces.Point):
@@ -60,7 +60,8 @@ def encode(v):
     if isinstance(v, (tuple, list)):
         return [encode(x) for x in v]
     if isinstance(v, dict):
-        return {str(k): encode(x) for k, x in v.items()}
+        return {str(float(k) if isinstance(k, Fraction) else k): encode(x)
+                for k, x in v.items()}
     if isinstance(v, (int, float, str, bool)) or v is None:
         return v
     return repr(v)
@@ -87,7 +88,7 @@ def _scheduled(kind, space, pair, witnesses, radii, ks, score, params):
     dists = [metric(space, p[0], p[1]) for p in pairs]
     ok = (all(a > b or a == b == 0 for a, b in zip(dists, dists[1:]))
           and dists[-1] < radii[-1])
-    scores = {(i, float(r)): score(i, wp, Ball(pair, r))
+    scores = {(i, r): score(i, wp, Ball(pair, r))
               for i, wp in enumerate(pairs) for r in radii}
     c = min(scores.values())
     verdict = POSITIVE if ok and c >= DENSITY_FLOOR else INCONCLUSIVE

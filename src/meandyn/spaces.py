@@ -68,11 +68,16 @@ class Space:
 
 
 def one_point_space(copies=(0,), group=INTEGERS, action=TRANSLATE, name=""):
-    return Space(ONE_POINT, tuple(copies), group, action, name=name)
+    copies = tuple(copies)
+    if group == LAMPLIGHTER and (len(copies) != 2 or action != SHIFT):
+        raise ValueError("a lamplighter space needs exactly two copies and "
+                         "the shift action, got %d copies and %r"
+                         % (len(copies), action))
+    return Space(ONE_POINT, copies, group, action, name=name)
 
 
-def two_point_space(copies=(1,), layout=None, gluings=(), group=INTEGERS,
-                    action=TRANSLATE, name=""):
+def two_point_space(copies=(1,), layout=None, gluings=(), action=TRANSLATE,
+                    name=""):
     if layout is None:
         layout = tuple((i, 1) for i in range(len(copies)))
     gluings = tuple(gluings)
@@ -80,7 +85,7 @@ def two_point_space(copies=(1,), layout=None, gluings=(), group=INTEGERS,
         if not (alias.is_limit() and rep.is_limit()):
             raise ValueError("gluing (%r, %r) has a finite point: only limit "
                              "points may be glued" % (alias, rep))
-    return Space(TWO_POINT, tuple(copies), group, action,
+    return Space(TWO_POINT, tuple(copies), INTEGERS, action,
                  layout=tuple(layout), gluings=gluings, name=name)
 
 
@@ -306,11 +311,8 @@ def act(space, g, p):
     if isinstance(p, tuple):
         return tuple(act(space, g, q) for q in p)
     p = _checked(space, p)
-    if space.group == LAMPLIGHTER and isinstance(g, IntShift):
-        g = Lamp(g.a, ())  # pure shifts embed into the lamplighter
     if isinstance(g, IntShift):
-        if space.group != INTEGERS:
-            raise ValueError("integer element on a %s-space" % space.group)
+        # either group: on a lamplighter space (shift action) it is shift^a
         if p.is_limit():
             return p
         step = g.a if space.action == TRANSLATE else -g.a

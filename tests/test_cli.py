@@ -86,6 +86,30 @@ def test_detect_registered_pair():
     assert out["certificates"]["qrms_f"]["verdict"] == "POSITIVE"
 
 
+def test_detect_relation_runs_only_that_detector(monkeypatch, capsys):
+    from meandyn import cli, gallery, relations
+    argv = ["detect", "--system", "three-glued", "--pair", "-inf^1;+inf^1"]
+    assert cli.main(argv) == 0
+    every = json.loads(capsys.readouterr().out)["certificates"]
+    ran = []
+    for kind in gallery.DETECTORS:
+        real = getattr(relations, "detect_" + kind)
+        monkeypatch.setattr(relations, "detect_" + kind,
+                            lambda *a, real=real, kind=kind, **k:
+                            ran.append(kind) or real(*a, **k))
+    assert cli.main(argv + ["--relation", "srjms_f"]) == 0
+    assert ran == ["srjms_f"]
+    out = json.loads(capsys.readouterr().out)["certificates"]
+    assert out == {"srjms_f": every["srjms_f"]}
+
+
+def test_detect_swsm_on_the_diagonal_is_a_usage_error(capsys):
+    from meandyn import cli
+    assert cli.main(["detect", "--system", "two-point", "--pair",
+                     "+inf^1;+inf^1", "--relation", "swsm_f"]) == 2
+    assert "no swsm_f certificate for this pair" in capsys.readouterr().err
+
+
 def test_detect_unregistered_pair_is_usage_error():
     r = run("detect", "--system", "two-point", "--pair", "0^1;1^1")
     assert r.returncode == 2

@@ -115,7 +115,9 @@ def test_lampbox_closed_form_equals_enumeration(n, start, translate):
     if translate is not None:
         F = [multiply(f, translate) for f in F]
     want = Counter(act(LAMPLIGHTER, g, start) for g in F)
-    got = pushforward.images(LAMPLIGHTER, start, LampBox(), n, translate)
+    # F_n.t reads as F_n at the moved start: (f.t).x = f.(t.x)
+    moved = start if translate is None else act(LAMPLIGHTER, translate, start)
+    got = pushforward.images(LAMPLIGHTER, moved, LampBox(), n)
     assert got == want
     assert sum(got.values()) == folner.cardinality(LampBox(), n)
     assert len(got) <= 4 * (n + 1)

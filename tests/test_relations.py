@@ -208,18 +208,10 @@ def test_qrp_matches_ordered_scan(verdict, space, pair, epsilons, elements,
                                            trunc).to_json()
 
 
-def test_qrp_finds_a_late_hit_after_the_sorted_check(monkeypatch):
+def test_qrp_ordered_scan_finds_a_late_hit():
     # the first copy-1 perturbations are too far down for any shift to
     # carry them near the glued upper limit, so the scan goes on past
     # them to the hit
-    checks = []
-    real = spaces.nearest_distance
-
-    def counted(*args):
-        checks.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(spaces, "nearest_distance", counted)
     args = (THREE_GLUED, (MINF1, MINF2), (Fraction(1, 4),), shifts(0, 40, 5))
     cert = detect_qrp(*args, truncation=40)
     assert cert.verdict == POSITIVE
@@ -378,6 +370,19 @@ def test_schedule_rejects_empty_witness_indices(kind):
 def test_schedule_accepts_generator_witness_indices(kind):
     detect = SCHEDULED[kind]
     assert detect(RADII, iter(KS)).to_json() == detect(RADII, KS).to_json()
+
+
+def test_scores_are_keyed_by_the_exact_radius():
+    # two radii with one float are two scores per witness, not one
+    radii = (Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10 ** 30))
+    assert float(radii[0]) == float(radii[1])
+    cert = detect_qrms_f(TWO_POINT, (TP_PINF, TP_MINF), ZInitial(),
+                         lambda k: (Point(-k, 1), TP_MINF), radii, KS, (1, 40))
+    for w in cert.witnesses:
+        assert sorted(w["scores"]) == sorted(radii)
+    assert cert.params["common_density"] == min(
+        v for w in cert.witnesses for v in w["scores"].values())
+    assert cert.params["radii"] == [0.5, 0.5]
 
 
 def test_srjms_rejects_ns_not_matching_ks():

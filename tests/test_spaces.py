@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
                              MINF1, MINF2, PINF1, PINF2, THREE_GLUED,
                              TWO_POINT, down, up)
-from meandyn.groups import IntShift, Lamp
-from meandyn.spaces import (Ball, M_INF, ONE_POINT, O_INF, P_INF, Point,
-                            PointSet, ProductOf, Tail, act, canonical,
-                            contains, copy_gap, embed, metric,
-                            nearest_distance, parse_point, render_point,
-                            snap_threshold, truncate, two_point_space)
+from meandyn.groups import INTEGERS, IntShift, Lamp
+from meandyn.spaces import (Ball, M_INF, ONE_POINT, O_INF, P_INF, SHIFT,
+                            TRANSLATE, Point, PointSet, ProductOf, Tail, act,
+                            canonical, contains, copy_gap, embed, metric,
+                            nearest_distance, one_point_space, parse_point,
+                            render_point, snap_threshold, truncate,
+                            two_point_space)
 
 SPACES = [LITERATURE_DOCK, LAMPLIGHTER_Z, LAMPLIGHTER, TWO_POINT, THREE_GLUED]
 
@@ -267,3 +268,23 @@ def test_only_limit_points_may_be_glued():
     glued = two_point_space((1, 2), gluings=iter([(Point(M_INF, 2),
                                                   Point(P_INF, 1))]))
     assert glued.gluings == ((Point(M_INF, 2), Point(P_INF, 1)),)
+
+
+@pytest.mark.parametrize("copies, action", [
+    ((0,), SHIFT),              # a toggle has no second copy to swap to
+    ((0, 1, 2), SHIFT),         # a toggle would leave copy 2 in place
+    ((0, 1), TRANSLATE),        # an integer shift would move the other way
+])
+def test_lamplighter_space_needs_two_copies_and_the_shift_action(copies,
+                                                                 action):
+    with pytest.raises(ValueError, match="lamplighter space needs exactly "
+                                         "two copies and the shift action"):
+        one_point_space(copies, LAMPLIGHTER.group, action)
+    one_point_space(copies, INTEGERS, action)
+
+
+def test_two_point_space_takes_no_group():
+    # toggles would swap interval copies, which the metric does not model
+    with pytest.raises(TypeError):
+        two_point_space((1, 2), group=LAMPLIGHTER.group)
+
