@@ -19,11 +19,12 @@ The two routes agree on their overlap, which the test suite checks.
 The limit probes read four module constants: `cluster_detect` compares
 the last CLUSTER_TAIL measures against CLUSTER_TOL, and `heavy_limits`
 merges atoms within SNAP_RADIUS of a limit point and keeps the limits
-of weight at least HEAVY_WEIGHT.  One snap rule does the merging: where
-`spaces.snap_threshold` proves a threshold T, a finite leg merges
-exactly when |coord| >= T, into its own copy's end, and elsewhere into
-its nearest limit.  `support_union_estimate` applies the same rule to
-the image counts of the pushforward kernel, so it builds no measure.
+of weight at least HEAVY_WEIGHT.  One snap rule does the merging: with
+the threshold T of `spaces.snap_threshold`, a finite leg merges exactly
+when |coord| >= T, into its own copy's end.  Every space that can be
+built has a checked layout, so T holds on all of them.
+`support_union_estimate` applies the same rule to the image counts of
+the pushforward kernel, so it builds no measure.
 """
 
 import itertools
@@ -280,21 +281,16 @@ def _heavy(space, weighted, total):
     """heavy_limits of the (point, weight) entries, each weight read as
     weight / total.
 
-    Where `spaces.snap_threshold` proves T for SNAP_RADIUS, a finite
-    leg merges into a limit exactly when |coord| >= T, and that limit
-    is its own copy's end on the side of coord's sign (the point at
-    infinity, on a one-point circle), so no metric is evaluated.
-    Elsewhere each leg merges into its nearest limit when that is
-    within SNAP_RADIUS.  A limit leg is its own nearest limit."""
+    With T = `spaces.snap_threshold` for SNAP_RADIUS, a finite leg
+    merges into a limit exactly when |coord| >= T, and that limit is its
+    own copy's end on the side of coord's sign (the point at infinity,
+    on a one-point circle), so no metric is evaluated.  A limit leg
+    stays put."""
     bound = spaces.snap_threshold(space, SNAP_RADIUS)
-    limits = space.limit_points()
 
     def snap(p):
         if isinstance(p, tuple):
             return tuple(snap(q) for q in p)
-        if bound is None:
-            best = min(limits, key=lambda l: metric(space, l, p))
-            return best if metric(space, best, p) <= SNAP_RADIUS else p
         if p.is_limit() or abs(p.coord) < bound:
             return p
         end = (spaces.O_INF if space.kind == spaces.ONE_POINT
@@ -339,7 +335,7 @@ def support_union_estimate(space, starts, families, n, budget=folner.ATOM_BUDGET
     starts and families, in sort_key order.  They are read from the
     image counts of each start, each of weight count / |F_n|, with no
     measure built."""
-    points = set()
+    starts, points = list(starts), set()
     for fam in families:
         for start in starts:
             counts = images(space, start, fam, n, budget=budget)

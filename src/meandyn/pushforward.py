@@ -19,14 +19,15 @@ images without enumerating F_n element by element:
 
 `_means` is the one loop over the resolved sets.  `means` hands it an
 opaque weight.  `hit_means` hands it the neighbourhood's membership and,
-for a Ball around a pair on an integer space, the eventually constant
-hitting set: with an exact integer A and the two limit verdicts
-(`_tails`), every window is swept clipped to [-A, A], so `contains` runs
-only on the requested shifts inside it, and the window's overlaps with
-(A, inf) and (-inf, -A) are counted.  Its cost then grows with A, not
-with the window or the translate range.  Without tails (a limit on the
-sphere, another neighbourhood, a lamplighter space) nothing is clipped.
-`images` resolves its one set through the same `_sets`.
+for a Ball around a pair, the eventually constant hitting set: with an
+exact integer A and the two limit verdicts (`_tails`), every window is
+swept clipped to [-A, A], so `contains` runs only on the requested
+shifts inside it, and the window's overlaps with (A, inf) and
+(-inf, -A) are counted.  Its cost then grows with A, not with the window
+or the translate range.  Without tails (a limit on the sphere, another
+neighbourhood) nothing is clipped, and a lamplighter box takes its
+closed form whatever the tails.  `images` resolves its one set through
+the same `_sets`.
 
 Every index answered is checked against the atom budget by
 `folner.cardinality`, so BudgetError fires where enumeration raises it.
@@ -39,7 +40,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import folner, spaces
-from .groups import INTEGERS, GroupMismatchError, IntShift, Lamp
+from .groups import GroupMismatchError, IntShift, Lamp
 from .spaces import Ball
 
 
@@ -64,7 +65,7 @@ def hit_means(space, pair, nbhd, family, requests, budget=folner.ATOM_BUDGET):
     """Share of F_n, or of F_n.t, sending `pair` into `nbhd`: one
     Fraction per (n, t) in `requests`, t None for F_n itself.
 
-    For a Ball around a pair on an integer space, membership is
+    For a Ball around a pair and an integer window family, membership is
     constant beyond an exact bound A in each direction (`_tails`), so
     `contains` runs only on the requested shifts inside [-A, A]."""
 
@@ -90,8 +91,8 @@ def _tails(space, pair, nbhd):
     |a| > A = max |c| + ceil(m / 2d) keeps each leg within d/m of its
     limit, so the ball distance stays on D's side of the radius r.  At
     d = 0 the limit sits on the sphere and nothing is proved."""
-    if not (space.group == INTEGERS and isinstance(nbhd, Ball)
-            and isinstance(pair, tuple) and isinstance(nbhd.center, tuple)
+    if not (isinstance(nbhd, Ball) and isinstance(pair, tuple)
+            and isinstance(nbhd.center, tuple)
             and isinstance(nbhd.radius, (int, Fraction))):
         return None
     # a glued alias is a limit point, so canonical forms change no offset

@@ -7,12 +7,13 @@ Two building blocks, each available in several tagged copies:
 * two-point intervals: the integers plus distinct limits at either
   end, embedded order-preservingly into a unit segment.
 
-Copies of two-point intervals may be glued at their limit points, and
-only there (`two_point_space` rejects a gluing with a finite point); the
-glued chain is laid out as consecutive unit segments so that the
-metric on one connected component is plain distance along the line.
-Points in different components sit at distance equal to their copy
-separation.
+Copies of two-point intervals are either all unglued, each its own
+piece, or glued into one chain: laid out as consecutive unit segments,
+with exactly the two ends that meet at each junction glued.  Then the
+metric on the chain is plain distance along the line, and points in
+different pieces sit at distance equal to their copy separation.
+`two_point_space` rejects every other layout, and a gluing with a
+finite point, with a `ValueError`.
 """
 
 import math
@@ -85,8 +86,41 @@ def two_point_space(copies=(1,), layout=None, gluings=(), action=TRANSLATE,
         if not (alias.is_limit() and rep.is_limit()):
             raise ValueError("gluing (%r, %r) has a finite point: only limit "
                              "points may be glued" % (alias, rep))
-    return Space(TWO_POINT, tuple(copies), INTEGERS, action,
-                 layout=tuple(layout), gluings=gluings, name=name)
+    space = Space(TWO_POINT, tuple(copies), INTEGERS, action,
+                  layout=tuple(layout), gluings=gluings, name=name)
+    _check_chain(space)
+    return space
+
+
+def _check_chain(space):
+    """Raise ValueError unless the layout gives each copy one unit
+    segment and, with gluings, the copies form one chain: sorted by
+    offset each starts where the previous one ends, and the gluings are
+    the ends shared at those junctions, one gluing per junction."""
+    copies, layout = space.copies, space.layout
+    if (len(set(copies)) != len(copies) or len(layout) != len(copies)
+            or not all(isinstance(entry, tuple) and len(entry) == 2
+                       and isinstance(entry[0], (int, Fraction))
+                       and entry[1] in (1, -1) for entry in layout)):
+        raise ValueError("copies %r must be distinct and layout %r must hold "
+                         "one (offset, direction) per copy, with an int or "
+                         "Fraction offset and direction +1 or -1"
+                         % (copies, layout))
+    if not space.gluings:
+        return
+    chain = sorted(zip(layout, copies))
+    steps = list(zip(chain, chain[1:]))
+    junctions = {frozenset((Point(P_INF if d > 0 else M_INF, a),
+                            Point(M_INF if e > 0 else P_INF, b)))
+                 for ((_, d), a), ((_, e), b) in steps}
+    if (any(o2 != o + 1 for ((o, _), _), ((o2, _), _) in steps)
+            or len(space.gluings) != len(junctions)
+            or set(map(frozenset, space.gluings)) != junctions):
+        raise ValueError("glued copies must form one chain: sorted by "
+                         "offset, each copy starts where the previous one "
+                         "ends, and the gluings are the ends shared at those "
+                         "junctions, one per junction; got layout %r and "
+                         "gluings %r" % (layout, space.gluings))
 
 
 def canonical(space, p):
@@ -153,9 +187,8 @@ def _piece(space, p):
 
 
 def _copy_piece(space, tag):
-    if space.kind == ONE_POINT:
-        return space.copies.index(tag)
-    return _components(space)[tag]
+    # a glued space is one chain; otherwise each copy is its own piece
+    return 0 if space.gluings else space.copies.index(tag)
 
 
 def _copy_range(space, tag):
@@ -167,21 +200,6 @@ def _copy_range(space, tag):
         return i - 1, i + 1
     offset, _ = space.layout[i]
     return offset, offset + 1
-
-
-@lru_cache(maxsize=None)
-def _components(space):
-    parent = {tag: tag for tag in space.copies}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    for alias, rep in space.gluings:
-        parent[find(alias.copy)] = find(rep.copy)
-    return {tag: space.copies.index(find(tag)) for tag in space.copies}
 
 
 def metric(space, p, q):
@@ -210,14 +228,13 @@ def nearest_distance(space, left, right):
     separation, which depends only on the (piece, copy index) pairs
     present.  O(k log k) for k points instead of |left|·|right| metric
     calls."""
-    pieces = _components(space) if space.kind == TWO_POINT else None
     lines = {}             # component -> [(float, line coordinate, side)]
     tags = (set(), set())  # per side: (component, copy index)
     for side, points in enumerate((left, right)):
         for p in points:
             p = _checked(space, p)
             i = space.copies.index(p.copy)
-            c = i if pieces is None else pieces[p.copy]
+            c = _piece(space, p)
             x = _line_coordinate(space, p)
             # the float leads the sort key only to spare Fraction
             # comparisons; rounding is monotone, so the order is exact
@@ -246,40 +263,24 @@ def copy_gap(space, copy_a, copy_b):
     return Fraction(max(0, b0 - a1, a0 - b1))
 
 
-@lru_cache(maxsize=None)
 def snap_threshold(space, radius):
     """The least T >= 1 such that a finite point of any copy lies within
     `radius` of a limit point exactly when |coord| >= T, and that limit
     is then its own copy's end on the side of coord's sign (the point at
-    infinity, on a one-point circle); None where this is not proved.
+    infinity, on a one-point circle); None unless 0 < radius < 1/2.
 
     A finite coordinate s is 1/(2(1+|s|)) from the nearer end of its
     two-point interval and 1/(2|s|+1) from the point at infinity of its
     one-point circle, so T is the least |s| at which that is <= radius.
-    The end is the only limit that close when each copy's canonical ends
-    sit where its layout puts them and every other limit of its piece is
-    more than `radius` from the copy's range; other pieces are at least
-    1 away."""
+    The copy's far end is at least 1/2 away, and on a checked layout
+    every other limit at least 1: other pieces sit a copy separation
+    away, and along a chain the other ends lie beyond the copy's
+    neighbours' unit segments."""
     if not 0 < radius < Fraction(1, 2):
         return None
     if space.kind == ONE_POINT:
-        bound, ends = math.ceil((1 / Fraction(radius) - 1) / 2), (O_INF,)
-    else:
-        bound, ends = math.ceil(1 / (2 * Fraction(radius))) - 1, (M_INF, P_INF)
-    for tag in space.copies:
-        own = [canonical(space, Point(c, tag)) for c in ends]
-        if any(p.copy not in space.copies
-               or _line_coordinate(space, p)
-               != _line_coordinate(space, Point(c, tag))
-               for c, p in zip(ends, own)):
-            return None
-        lo, hi = _copy_range(space, tag)
-        for q in space.limit_points():
-            x = _line_coordinate(space, q)
-            if (q not in own and _piece(space, q) == _copy_piece(space, tag)
-                    and lo - radius <= x <= hi + radius):
-                return None
-    return bound
+        return math.ceil((1 / Fraction(radius) - 1) / 2)
+    return math.ceil(1 / (2 * Fraction(radius))) - 1
 
 
 def limit_distance(space, c, p, sign):
@@ -289,21 +290,16 @@ def limit_distance(space, c, p, sign):
     A limit point p stays where it is.  A finite p runs along its own
     copy into the end the action sends it to (+inf or -inf of that copy
     on a two-point interval, inf on a one-point circle), and the
-    distance converges to the line distance from c to that end, or
-    stays the copy separation when c lies in another piece."""
-    c, p = _checked(space, c), _checked(space, p)
-    if p.is_limit():
-        return _metric1(space, c, p)
-    if _piece(space, c) != _piece(space, p):
-        return Fraction(abs(space.copies.index(c.copy)
-                            - space.copies.index(p.copy)))
-    if space.kind == ONE_POINT:
-        end = O_INF
-    else:
-        forward = sign > 0 if space.action == TRANSLATE else sign < 0
-        end = P_INF if forward else M_INF
-    return abs(_line_coordinate(space, c)
-               - _line_coordinate(space, Point(end, p.copy)))
+    distance converges to the distance from c to that end."""
+    p = _checked(space, p)
+    if not p.is_limit():
+        if space.kind == ONE_POINT:
+            end = O_INF
+        else:
+            forward = sign > 0 if space.action == TRANSLATE else sign < 0
+            end = P_INF if forward else M_INF
+        p = canonical(space, Point(end, p.copy))
+    return _metric1(space, c, p)
 
 
 def act(space, g, p):
@@ -343,8 +339,7 @@ def sort_key(space, p):
     if isinstance(p, tuple):
         return tuple(sort_key(space, q) for q in p)
     p = _checked(space, p)
-    return (_piece(space, p), _line_coordinate(space, p),
-            space.copies.index(p.copy), str(p.coord))
+    return _piece(space, p), _line_coordinate(space, p)
 
 
 # ---------------------------------------------------------------- text forms

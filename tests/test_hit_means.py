@@ -12,9 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from meandyn import density, folner, pushforward, spaces
 from meandyn.folner import ZCentered, ZInitial, ZShifted
-from meandyn.gallery import (LAMPLIGHTER_Z, LITERATURE_DOCK, MINF1, MINF2,
-                             PINF1, THREE_GLUED, TP_MINF, TP_PINF, TWO_POINT,
-                             down, up)
+from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
+                             MINF1, MINF2, PINF1, THREE_GLUED, TP_MINF,
+                             TP_PINF, TWO_POINT, down, up)
 from meandyn.groups import INTEGERS, IntShift, multiply
 from meandyn.spaces import (M_INF, O_INF, P_INF, SHIFT, TRANSLATE, Ball,
                             Point, metric, one_point_space, two_point_space)
@@ -23,7 +23,7 @@ LAMPLIGHTER_Z_TRANSLATE = one_point_space((0, 1), INTEGERS, TRANSLATE,
                                           name="lamplighter-z-translate")
 TWO_POINT_SHIFT = two_point_space((1,), action=SHIFT, name="two-point-shift")
 SPACES = (TWO_POINT, TWO_POINT_SHIFT, THREE_GLUED, LITERATURE_DOCK,
-          LAMPLIGHTER_Z, LAMPLIGHTER_Z_TRANSLATE)
+          LAMPLIGHTER_Z, LAMPLIGHTER_Z_TRANSLATE, LAMPLIGHTER)
 Z_FAMILIES = (ZInitial(), ZCentered(), ZShifted())
 PROPERTY = settings(deadline=None, max_examples=300)
 

@@ -16,6 +16,9 @@ from meandyn.spaces import (Ball, M_INF, ONE_POINT, O_INF, P_INF, SHIFT,
                             two_point_space)
 
 SPACES = [LITERATURE_DOCK, LAMPLIGHTER_Z, LAMPLIGHTER, TWO_POINT, THREE_GLUED]
+FAR_LAYOUT = two_point_space((1, 2, 3, 4),
+                             layout=((0, 1), (3, -1), (6, 1), (9, -1)),
+                             name="far-layout")
 
 
 def test_one_point_embedding_values():
@@ -61,16 +64,17 @@ def test_pair_metric_is_sum():
     assert metric(LAMPLIGHTER, p, q) == metric(LAMPLIGHTER, up(0), up(2))
 
 
-@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("space", SPACES + [FAR_LAYOUT])
 def test_metric_axioms_on_truncation(space):
+    # every kind of layout that two_point_space builds: one chain, one
+    # interval, and unglued copies laid out apart
     pts = truncate(space, 4)
-    for p in pts:
-        assert metric(space, p, p) == 0
-    for p, q in itertools.combinations(pts, 2):
-        assert metric(space, p, q) > 0
-        assert metric(space, p, q) == metric(space, q, p)
-    for p, q, r in itertools.islice(itertools.permutations(pts, 3), 4000):
-        assert metric(space, p, r) <= metric(space, p, q) + metric(space, q, r)
+    d = [[metric(space, p, q) for q in pts] for p in pts]
+    for i, j in itertools.product(range(len(pts)), repeat=2):
+        assert (d[i][j] == 0) == (i == j)
+        assert d[i][j] == d[j][i]
+    for i, j, k in itertools.product(range(len(pts)), repeat=3):
+        assert d[i][k] <= d[i][j] + d[j][k]
 
 
 def test_truncate_counts():
@@ -202,17 +206,7 @@ def test_nearest_distance_single_points_and_empty_sides():
         nearest_distance(s, [MINF1], [Point(0, 9)])
 
 
-FAR_LAYOUT = two_point_space((1, 2, 3, 4),
-                             layout=((0, 1), (3, -1), (6, 1), (9, -1)),
-                             name="far-layout")
-# copies 2 and 3 both hang off +inf^1 and share the unit segment [1, 2]
-BRANCHED = two_point_space((1, 2, 3), layout=((0, 1), (1, 1), (1, 1)),
-                           gluings=((Point(M_INF, 2), Point(P_INF, 1)),
-                                    (Point(M_INF, 3), Point(P_INF, 1))),
-                           name="branched")
-
-
-@pytest.mark.parametrize("space", SPACES + [FAR_LAYOUT, BRANCHED],
+@pytest.mark.parametrize("space", SPACES + [FAR_LAYOUT],
                          ids=lambda s: s.name)
 def test_copy_gap_bounds_every_distance_between_two_copies(space):
     points = truncate(space, 6)
@@ -249,12 +243,7 @@ def test_snap_threshold_is_exact(space):
 
 
 def test_snap_threshold_needs_a_proof():
-    # a copy's end shares its place with another copy's end
-    assert snap_threshold(BRANCHED, Fraction(1, 10)) is None
-    # a glued end sits away from the place its layout gives it
-    moved = two_point_space((1, 2), layout=((0, 1), (2, 1)),
-                            gluings=((Point(M_INF, 2), Point(P_INF, 1)),))
-    assert snap_threshold(moved, Fraction(1, 10)) is None
+    # s = 0 sits 1/2 from both ends of its interval
     assert snap_threshold(TWO_POINT, Fraction(1, 2)) is None
 
 
@@ -268,6 +257,44 @@ def test_only_limit_points_may_be_glued():
     glued = two_point_space((1, 2), gluings=iter([(Point(M_INF, 2),
                                                   Point(P_INF, 1))]))
     assert glued.gluings == ((Point(M_INF, 2), Point(P_INF, 1)),)
+
+
+@pytest.mark.parametrize("copies, layout, gluings", [
+    # copies 2 and 3 both hang off +inf^1 on the unit segment [1, 2], so
+    # 0^2 and 0^3 would be 0 apart
+    ((1, 2, 3), ((0, 1), (1, 1), (1, 1)),
+     ((Point(M_INF, 2), PINF1), (Point(M_INF, 3), PINF1))),
+    # -inf^2 glued at 1 while its copy runs over [2, 3]: it would not be
+    # the limit of its own copy
+    ((1, 2), ((0, 1), (2, 1)), ((Point(M_INF, 2), PINF1),)),
+    # three-glued's chain plus an unglued copy 4 at offset 4, where the
+    # copy separation would break the triangle inequality
+    ((1, 3, 2, 4), THREE_GLUED.layout + ((4, 1),), THREE_GLUED.gluings),
+    # one junction glued twice
+    ((1, 2), ((0, 1), (1, 1)),
+     ((Point(M_INF, 2), PINF1), (PINF1, Point(M_INF, 2)))),
+], ids=["branched", "moved-end", "chain-plus-a-copy", "junction-glued-twice"])
+def test_glued_copies_must_form_one_chain(copies, layout, gluings):
+    with pytest.raises(ValueError, match="glued copies must form one chain"):
+        two_point_space(copies, layout, gluings)
+
+
+def test_chain_may_start_anywhere_and_glue_either_way():
+    layout = ((Fraction(1, 2), 1), (Fraction(3, 2), -1))
+    chain = two_point_space((1, 2), layout, [(Point(P_INF, 2), PINF1)])
+    assert metric(chain, Point(0, 1), Point(0, 2)) == 1
+    assert metric(chain, PINF1, Point(P_INF, 2)) == 0
+
+
+@pytest.mark.parametrize("copies, layout", [
+    ((1, 2), ((0, 1),)),    # copy 2 has no place: metric would index past it
+    ((1,), ((0.5, 1),)),    # metric would return the float 0.375
+    ((1,), ((0, 0),)),      # no direction
+    ((1, 1), ((0, 1), (1, 1))),  # metric reads only the first entry
+], ids=["short", "float-offset", "zero-direction", "repeated-copy"])
+def test_layout_holds_one_offset_and_direction_per_copy(copies, layout):
+    with pytest.raises(ValueError, match=r"one \(offset, direction\) per"):
+        two_point_space(copies, layout)
 
 
 @pytest.mark.parametrize("copies, action", [
