@@ -8,13 +8,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import folner, pushforward
+from .relations import exact_text
 from .spaces import metric
 
 def cesaro_metric(space, x, y, family, n, budget=folner.ATOM_BUDGET):
-    """(1/|F_n|) * sum over g in F_n of d(g.x, g.y), exact."""
-    return pushforward.means(space, (x, y), family, [n],
-                             lambda pair: metric(space, pair[0], pair[1]),
-                             budget)[0]
+    """(1/|F_n|) * sum over g in F_n of d(g.x, g.y), exact; in closed
+    form on an integer window (`pushforward.distance_means`)."""
+    return pushforward.distance_means(space, (x, y), family, [n], budget)[0]
 
 
 @dataclass
@@ -89,4 +89,4 @@ def profile_to_csv(profile, path):
         writer = csv.writer(fh)
         writer.writerow(["n", "average", "average_float"])
         for n, v in profile.rows():
-            writer.writerow([n, str(v), float(v)])
+            writer.writerow([n, exact_text(v), float(v)])

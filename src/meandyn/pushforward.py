@@ -17,8 +17,13 @@ images without enumerating F_n element by element:
   pair.  A right translate t moves the start instead, since
   (f.t).x = f.(t.x).
 
-`_means` is the one loop over the resolved sets.  `means` hands it an
-opaque weight.  `hit_means` hands it the neighbourhood's membership and,
+A Cesaro average needs no image at all on an integer window:
+`distance_means` adds each leg's distances in closed form
+(`spaces.shift_distance_total`), as reciprocal sums split at the shifts
+where a leg crosses 0, and reads a lamplighter box off `_box_images`.
+
+`_means` is the one loop over the resolved sets for densities.
+`hit_means` hands it the neighbourhood's membership and,
 for a Ball around a pair, the eventually constant hitting set: with an
 exact integer A and the two limit verdicts (`_tails`), every window is
 swept clipped to [-A, A], so `contains` runs only on the requested
@@ -54,11 +59,24 @@ def images(space, start, family, n, budget=folner.ATOM_BUDGET):
                    for a in range(window[0], window[1] + 1))
 
 
-def means(space, start, family, ns, weight, budget=folner.ATOM_BUDGET):
-    """(1/|F_n|) * sum over g in F_n of weight(g.start), one Fraction
-    per n in `ns`."""
-    return _means(space, start, _sets(family, [(n, None) for n in ns], budget),
-                  weight)
+def distance_means(space, pair, family, ns, budget=folner.ATOM_BUDGET):
+    """(1/|F_n|) * sum over g in F_n of metric(g.x, g.y) for pair = (x, y),
+    points or point pairs, one Fraction per n in `ns`.
+
+    An integer window adds `spaces.shift_distance_total` over each leg;
+    a lamplighter box weighs its closed-form images."""
+    x, y = pair
+    legs = list(zip(x, y)) if isinstance(x, tuple) else [(x, y)]
+    out = []
+    for size, n, _, window in _sets(family, [(n, None) for n in ns], budget):
+        if window is None:
+            total = sum(spaces.metric(space, *image) * c
+                        for image, c in _box_images(space, pair, n).items())
+        else:
+            total = sum(spaces.shift_distance_total(space, p, q, *window)
+                        for p, q in legs)
+        out.append(Fraction(total, size))
+    return out
 
 
 def hit_means(space, pair, nbhd, family, requests, budget=folner.ATOM_BUDGET):
@@ -129,7 +147,7 @@ def _sets(family, requests, budget):
     return out
 
 
-def _means(space, start, sets, weight, tails=None):
+def _means(space, start, sets, weight, tails):
     """Mean of weight over the images of `start`, one Fraction per set.
 
     The windows are swept once, each clipped to [-A, A] for `tails` =

@@ -50,11 +50,31 @@ class Certificate:
                 "params": encode(self.params)}
 
 
+def exact_text(v):
+    """str(v) of a Fraction, also past the limit on int-to-str
+    conversion that Python sets (4,300 digits by default since 3.11)."""
+    if v.denominator == 1:
+        return _int_text(v.numerator)
+    return "%s/%s" % (_int_text(v.numerator), _int_text(v.denominator))
+
+
+def _int_text(n):
+    """str(n), converting an int past the limit in halves that fit."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    try:
+        return str(n)
+    except ValueError:
+        half = int(n.bit_length() * 0.30103) // 2   # about half its digits
+        high, low = divmod(n, 10 ** half)
+        return _int_text(high) + _int_text(low).zfill(half)
+
+
 def encode(v):
     """JSON form of a value: a Fraction as its exact text and a float
     (a key: its float text), a point by its text, containers by entry."""
     if isinstance(v, Fraction):
-        return {"fraction": str(v), "float": float(v)}
+        return {"fraction": exact_text(v), "float": float(v)}
     if isinstance(v, spaces.Point):
         return render_point(v)
     if isinstance(v, (tuple, list)):

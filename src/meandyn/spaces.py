@@ -68,8 +68,15 @@ class Space:
         return seen
 
 
+def _check_action(action):
+    if action not in (TRANSLATE, SHIFT):
+        raise ValueError("unknown action %r: it must be %r or %r"
+                         % (action, TRANSLATE, SHIFT))
+
+
 def one_point_space(copies=(0,), group=INTEGERS, action=TRANSLATE, name=""):
     copies = tuple(copies)
+    _check_action(action)
     if group == LAMPLIGHTER and (len(copies) != 2 or action != SHIFT):
         raise ValueError("a lamplighter space needs exactly two copies and "
                          "the shift action, got %d copies and %r"
@@ -81,6 +88,7 @@ def two_point_space(copies=(1,), layout=None, gluings=(), action=TRANSLATE,
                     name=""):
     if layout is None:
         layout = tuple((i, 1) for i in range(len(copies)))
+    _check_action(action)
     gluings = tuple(gluings)
     for alias, rep in gluings:
         if not (alias.is_limit() and rep.is_limit()):
@@ -300,6 +308,105 @@ def limit_distance(space, c, p, sign):
             end = P_INF if forward else M_INF
         p = canonical(space, Point(end, p.copy))
     return _metric1(space, c, p)
+
+
+def shift_distance_total(space, p, q, lo, hi):
+    """Sum of metric(space, a.p, a.q) over the integer shifts a = lo..hi,
+    exact and in closed form: no shifted point is built.
+
+    Legs in different pieces stay their copy separation apart.  In one
+    piece the sum is cut at the at most two shifts where a finite leg's
+    u (see `_line_total`) changes sign.  On each part the sign of the
+    line coordinate difference is constant: the coordinates are strictly
+    monotone in u on each branch, and the copies of a chain have unit
+    segments with disjoint interiors.  So one evaluation at the part's
+    first shift fixes it, and the part adds that sign times the
+    difference of the two coordinate sums."""
+    p, q = _integral(space, p), _integral(space, q)
+    if _piece(space, p) != _piece(space, q):
+        return (hi - lo + 1) * _metric1(space, p, q)
+    sigma = 1 if space.action == TRANSLATE else -1
+    # u = coord + sigma*a is >= 0 up to (shift) or from (translate) the cut
+    cuts = sorted(c for c in {-sigma * r.coord + (sigma < 0) for r in (p, q)
+                              if not r.is_limit()} if lo < c <= hi)
+    total = Fraction(0)
+    for first, last in zip([lo] + cuts, [c - 1 for c in cuts] + [hi]):
+        part = _total_difference(_line_total(space, p, sigma, first, last),
+                                 _line_total(space, q, sigma, first, last))
+        if (_line_coordinate(space, act(space, IntShift(first), p))
+                < _line_coordinate(space, act(space, IntShift(first), q))):
+            part = -part
+        total += part
+    return total
+
+
+def _integral(space, p):
+    """The canonical form of `p`, whose coordinate must be an int or a
+    limit: a shift moves a finite coordinate through the integers."""
+    p = _checked(space, p)
+    if not (p.is_limit() or isinstance(p.coord, int)):
+        raise TypeError("finite coordinate %r of %r is not an int"
+                        % (p.coord, p))
+    return p
+
+
+def _line_total(space, p, sigma, lo, hi):
+    """Sum of the line coordinate of a.p over a = lo..hi, where a moves a
+    finite p to u = coord + sigma*a and u keeps one sign, as a term
+    (c, k, e, v0, v1) = c + k * (sum of 1/(2v+e) over v = v0..v1).
+
+    On a branch of u's sign the one-point coordinate idx + phi(u) and
+    the two-point local coordinate psi(u) are reciprocal terms:
+    phi(u) = 1/(2u+1) and psi(u) = 1 - 1/(2u+2) for u >= 0,
+    phi(u) = -1/(2|u|+1) and psi(u) = 1/(2|u|+2) for u < 0."""
+    count = hi - lo + 1
+    if p.is_limit():
+        return count * _line_coordinate(space, p), 0, 1, 0, -1
+    u0, u1 = sorted((p.coord + sigma * lo, p.coord + sigma * hi))
+    k, v0, v1 = (1, u0, u1) if u0 >= 0 else (-1, -u1, -u0)
+    if space.kind == ONE_POINT:
+        return count * space.copies.index(p.copy), k, 1, v0, v1
+    # psi sums to count - R for u >= 0 and to R for u < 0
+    offset, direction = _layout_of(space, p.copy)
+    rest = count if k > 0 else 0
+    if direction > 0:
+        return count * offset + rest, -k, 2, v0, v1
+    return count * (offset + 1) - rest, k, 2, v0, v1
+
+
+def _total_difference(s, t):
+    """s - t for two `_line_total` terms over one range of shifts.  Two
+    finite legs on one branch run over equally long runs of v, so when
+    their reciprocal sums share k and e only the ends that the runs do
+    not share are added: a difference that telescopes costs its offset,
+    not the window."""
+    (c, k, e, a0, a1), (d, l, f, b0, b1) = s, t
+    if (k, e) != (l, f):
+        return (c - d + k * _reciprocal_sum(e, a0, a1)
+                - l * _reciprocal_sum(f, b0, b1))
+    if a0 > b0:
+        (a0, a1), (b0, b1), k = (b0, b1), (a0, a1), -k
+    return c - d + k * (_reciprocal_sum(e, a0, min(a1, b0 - 1))
+                        - _reciprocal_sum(e, max(b0, a1 + 1), b1))
+
+
+def _reciprocal_sum(e, lo, hi):
+    """Sum of 1/(2v+e) over v = lo..hi, 0 for an empty run, exact, by
+    binary splitting (Haible & Papanikolaou, ANTS-III, 1998): the halves
+    are added as integer numerators over integer products, and one
+    Fraction is reduced at the end."""
+    def split(i, j):   # numerator and denominator of the sum over i <= v < j
+        if j - i <= 16:   # short runs of small ints add faster in a loop
+            p, q = 0, 1
+            for d in range(2 * i + e, 2 * j + e, 2):
+                p, q = p * d + q, q * d
+            return p, q
+        k = (i + j) // 2
+        p1, q1 = split(i, k)
+        p2, q2 = split(k, j)
+        return p1 * q2 + p2 * q1, q1 * q2
+
+    return Fraction(*split(lo, hi + 1))
 
 
 def act(space, g, p):

@@ -273,3 +273,44 @@ def test_unknown_option_is_still_a_usage_error():
     r = run("detect", "--system", "two-point", "--pair", "--profile", "quick")
     assert r.returncode == 2
     assert "expected one argument" in r.stderr
+
+
+DEEP_AVG = ["avg", "--system", "lamplighter-z", "--x", "up_2", "--y", "up_inf",
+            "--family", "z-shifted", "--window", "4995", "5000"]
+
+
+def _set_int_str_limit(digits):
+    """Set Python's int-to-str digit limit and return the old one; a
+    Python without the limit has nothing to set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return None
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    return old
+
+
+@pytest.fixture
+def default_int_str_limit():
+    old = _set_int_str_limit(4300)   # the default since Python 3.11
+    yield
+    if old is not None:
+        sys.set_int_max_str_digits(old)
+
+
+def test_avg_writes_values_past_the_int_to_str_limit(tmp_path, capsys,
+                                                     default_int_str_limit):
+    from meandyn import averaging, cli
+    from meandyn.folner import ZShifted
+    from meandyn.gallery import LAMPLIGHTER_Z, UP_INF, up
+    path = tmp_path / "deep.csv"
+    assert cli.main(DEEP_AVG + ["--csv", str(path)]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    rows = path.read_text().splitlines()[1:]
+    prof = averaging.besicovitch_profile(LAMPLIGHTER_Z, up(2), UP_INF,
+                                         ZShifted(), (4995, 5000))
+    _set_int_str_limit(0)
+    want = [str(v) for v in prof.values]
+    _set_int_str_limit(4300)
+    assert len(want[0]) > 4300
+    assert [v["fraction"] for v in values] == want
+    assert [row.split(",")[1] for row in rows] == want

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from meandyn import averaging, density, folner, pushforward
 from meandyn.folner import BudgetError, LampBox, ZCentered, ZInitial, ZShifted
 from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
-                             THREE_GLUED, TP_MINF, TP_PINF, TWO_POINT, up)
+                             THREE_GLUED, TP_MINF, TP_PINF, TWO_POINT, down,
+                             up)
 from meandyn.groups import GroupMismatchError, IntShift, Lamp, multiply
-from meandyn.spaces import Ball, Point, act, metric
+from meandyn.spaces import M_INF, O_INF, Ball, Point, act, metric
 
 INTEGER_SPACES = (LITERATURE_DOCK, LAMPLIGHTER_Z, TWO_POINT, THREE_GLUED)
 Z_FAMILIES = (ZInitial(), ZCentered(), ZShifted())
@@ -70,10 +71,51 @@ def test_cesaro_sweep_and_profile_equal_enumeration(case):
     want = [enumerated_mean(space, (x, y), folner.elements(family, n),
                             distance(space))
             for n in range(lo, hi + 1)]
-    assert pushforward.means(space, (x, y), family, range(lo, hi + 1),
-                             distance(space)) == want
+    assert pushforward.distance_means(space, (x, y), family,
+                                      range(lo, hi + 1)) == want
     prof = averaging.besicovitch_profile(space, x, y, family, (lo, hi))
     assert prof.values == want
+
+
+@st.composite
+def cesaro_cases(draw):
+    space = draw(st.sampled_from(INTEGER_SPACES + (LAMPLIGHTER,)))
+    coords = draw(st.sampled_from((st.integers(-30, 30),
+                                   st.integers(-10 ** 6, 10 ** 6))))
+    legs = draw(st.sampled_from((points, pairs)))
+    x, y = draw(legs(space, coords)), draw(legs(space, coords))
+    if space is LAMPLIGHTER and draw(st.booleans()):
+        return space, LampBox(), draw(st.integers(1, 4)), x, y
+    family = draw(st.sampled_from(Z_FAMILIES))
+    return space, family, draw(st.integers(1, 60)), x, y
+
+
+@settings(deadline=None, max_examples=300)
+@given(cesaro_cases())
+# three-glued: copy 1 rises over [0, 1], copy 3 runs back over [1, 2]
+@example((THREE_GLUED, ZCentered(), 40, Point(3, 1), Point(-7, 3)))
+@example((THREE_GLUED, ZShifted(), 30, (Point(-40, 1), Point(5, 2)),
+          (Point(-35, 3), Point(M_INF, 2))))
+# windows that carry a leg across 0: a one-point circle under each
+# action, and a two-point interval
+@example((LITERATURE_DOCK, ZCentered(), 25, Point(10, 0), Point(-4, 0)))
+@example((LAMPLIGHTER_Z, ZCentered(), 25, up(10), down(-4)))
+@example((LAMPLIGHTER, ZInitial(), 30, up(12), up(O_INF)))
+@example((TWO_POINT, ZInitial(), 60, Point(-20, 1), TP_PINF))
+@example((TWO_POINT, ZCentered(), 9, Point(10 ** 13, 1), Point(-3, 1)))
+def test_cesaro_metric_equals_enumeration(case):
+    space, family, n, x, y = case
+    want = enumerated_mean(space, (x, y), folner.elements(family, n),
+                           distance(space))
+    assert averaging.cesaro_metric(space, x, y, family, n) == want
+
+
+@pytest.mark.parametrize("space", [LITERATURE_DOCK, TWO_POINT])
+def test_cesaro_metric_rejects_a_coordinate_that_is_not_an_int(space):
+    x = Point(2.5, space.copies[0])
+    with pytest.raises(TypeError, match="2.5 .* is not an int"):
+        averaging.cesaro_metric(space, x, space.limit_points()[0],
+                                ZCentered(), 5)
 
 
 @PROPERTY

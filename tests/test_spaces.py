@@ -315,3 +315,14 @@ def test_two_point_space_takes_no_group():
     with pytest.raises(TypeError):
         two_point_space((1, 2), group=LAMPLIGHTER.group)
 
+
+
+def test_one_point_space_rejects_an_unknown_action():
+    # a misspelt action would otherwise act as the shift
+    with pytest.raises(ValueError, match="unknown action 'shfit'"):
+        one_point_space((0,), action="shfit")
+
+
+def test_two_point_space_rejects_an_unknown_action():
+    with pytest.raises(ValueError, match="unknown action 'translat'"):
+        two_point_space((1,), action="translat")
