@@ -1,13 +1,13 @@
-"""Hitting sets of a pair into a neighborhood of the square, and the
-two finite density readings: along the family itself, and over right
-translates of a fixed window shape.
+"""Hitting sets of a pair into a neighborhood of the square: the share
+of a given list of group elements, and the two finite density readings,
+along the family itself and over right translates of a fixed window
+shape.  All three read the pushforward kernel.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import folner, pushforward
-from .spaces import act, contains
 
 
 @dataclass
@@ -18,13 +18,14 @@ class HittingRecord:
 
 
 def hitting_density(space, pair, nbhd, elements):
-    """Share of `elements` sending the pair into the neighborhood, one
-    element at a time: the enumerating reference for the kernel."""
+    """Share of `elements`, counted with repeats, sending the pair into
+    the neighborhood, read from the pushforward kernel
+    (`pushforward.hit_count`): one membership test per distinct image."""
     els = list(elements)
     if not els:
         raise ValueError("elements is empty: hitting_density needs a "
                          "non-empty element list")
-    count = sum(1 for g in els if contains(space, nbhd, act(space, g, pair)))
+    count = pushforward.hit_count(space, pair, nbhd, els)
     return HittingRecord(Fraction(count, len(els)), count, len(els))
 
 
@@ -37,8 +38,7 @@ class DensityProfile:
 
 def hitting_ratios(space, pair, nbhd, family, ns, budget=folner.ATOM_BUDGET):
     """|hits in F_n| / |F_n| for each n in `ns`, read from the
-    pushforward kernel; `hitting_density` over `folner.elements` is the
-    enumerating reference."""
+    pushforward kernel with no element built."""
     return pushforward.hit_means(space, pair, nbhd, family,
                                  [(n, None) for n in ns], budget)
 

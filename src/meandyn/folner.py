@@ -117,13 +117,10 @@ def elements(family, n, budget=ATOM_BUDGET):
     window = shift_window(family, n)
     if window is not None:
         return [IntShift(a) for a in range(window[0], window[1] + 1)]
-    sites = list(range(n, 2 * n + 1))
-    out = []
-    for a in sites:
-        for mask in range(2 ** len(sites)):
-            lamps = tuple(s for i, s in enumerate(sites) if mask >> i & 1)
-            out.append(Lamp(a, lamps))
-    return out
+    sites = range(n, 2 * n + 1)
+    toggles = [tuple(s for i, s in enumerate(sites) if mask >> i & 1)
+               for mask in range(2 ** len(sites))]
+    return [Lamp(a, lamps) for a in sites for lamps in toggles]
 
 
 def defect(family, n, K, budget=ATOM_BUDGET):

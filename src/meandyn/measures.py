@@ -128,6 +128,10 @@ def _monotone(vals):
 def _check_pair(mu, nu):
     if mu.space != nu.space:
         raise ValueError("measures live on different spaces")
+    on_pairs = {isinstance(p, tuple) for m in (mu, nu) for p, _ in m.atoms[:1]}
+    if len(on_pairs) > 1:
+        raise ValueError("one measure lives on points and the other on "
+                         "pairs of points")
     atoms = max(len(mu.atoms), len(nu.atoms))
     if atoms > MAX_ATOMS:
         raise folner.BudgetError("w1 of a measure with %d atoms exceeds %d"

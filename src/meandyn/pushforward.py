@@ -34,6 +34,12 @@ neighbourhood) nothing is clipped, and a lamplighter box takes its
 closed form whatever the tails.  `images` resolves its one set through
 the same `_sets`.
 
+`hit_count` counts the hits of a given element list, with repeats, as
+`density.hitting_density` reports them.  Each element is keyed by what
+decides its image, its shift, and for a lamplighter element also its
+toggles at the start's own coordinates (the classes above); `contains`
+runs once per key, and a shift beyond A takes the tail verdict.
+
 Every index answered is checked against the atom budget by
 `folner.cardinality`, so BudgetError fires where enumeration raises it.
 Results are exact: integer multiplicities and Fractions.
@@ -94,6 +100,49 @@ def hit_means(space, pair, nbhd, family, requests, budget=folner.ATOM_BUDGET):
                   _tails(space, pair, nbhd))
 
 
+def hit_count(space, start, nbhd, elements):
+    """How many of `elements`, a non-empty list counted with repeats,
+    send `start` into `nbhd`.
+
+    Each element is keyed by what decides its image (`_image_key`), and
+    `contains` runs once per key, in the order the keys first appear;
+    the verdict counts the key's multiplicity.  An integer shift beyond
+    the bound A of `_tails` takes the tail verdict instead.
+
+    A faulty input raises what testing element by element raises first.
+    The first element acts before anything else, so a faulty start
+    raises there.  A tail verdict skips no fault (see `_tails`), and
+    elements of one key share one image, so every other fault is raised
+    by the first element of its key."""
+
+    def hit(g):
+        return spaces.contains(space, nbhd, spaces.act(space, g, start))
+
+    spaces.act(space, elements[0], start)
+    sites = [p.coord for p in _legs(start) if not p.is_limit()]
+    bound, below, above = _tails(space, start, nbhd) or (math.inf, 0, 0)
+    keys = [_image_key(g, sites, i) for i, g in enumerate(elements)]
+    verdicts = {}
+    for key, g in zip(keys, elements):
+        if key not in verdicts:
+            far = isinstance(key, int) and abs(key) > bound
+            verdicts[key] = (above if key > 0 else below) if far else hit(g)
+    return sum(verdicts[key] * weight for key, weight in Counter(keys).items())
+
+
+def _image_key(g, sites, i):
+    """What decides the image of a start whose finite legs sit at
+    `sites`: the shift of an IntShift; the shift and the toggles at
+    `sites` of a Lamp, which move a leg only there (the classes of
+    `_box_images`); the position i of anything else, which is then
+    acted on by itself."""
+    if isinstance(g, IntShift) and isinstance(g.a, int):
+        return g.a
+    if isinstance(g, Lamp) and isinstance(g.a, int):
+        return g.a, tuple(s in g.lamps for s in sites)
+    return None, i
+
+
 def _tails(space, pair, nbhd):
     """(A, below, above): for every shift a > A, a.pair lies in `nbhd`
     exactly when `above` holds, and for every a < -A exactly when
@@ -108,10 +157,16 @@ def _tails(space, pair, nbhd):
     coordinate c.  With m finite legs and the gap d = |r - D| > 0, every
     |a| > A = max |c| + ceil(m / 2d) keeps each leg within d/m of its
     limit, so the ball distance stays on D's side of the radius r.  At
-    d = 0 the limit sits on the sphere and nothing is proved."""
-    if not (isinstance(nbhd, Ball) and isinstance(pair, tuple)
-            and isinstance(nbhd.center, tuple)
-            and isinstance(nbhd.radius, (int, Fraction))):
+    d = 0 the limit sits on the sphere and nothing is proved.
+
+    Nothing is proved either unless the pair and the ball's centre are
+    pairs of points, each a limit or at an int.  Then testing a shifted
+    pair can fail only on a centre leg outside the space, which the
+    limit distances raise here in the same order."""
+    if not (isinstance(nbhd, Ball) and isinstance(nbhd.radius, (int, Fraction))
+            and spaces.is_pair(pair) and spaces.is_pair(nbhd.center)
+            and all(p.is_limit() or isinstance(p.coord, int)
+                    for p in pair + nbhd.center)):
         return None
     # a glued alias is a limit point, so canonical forms change no offset
     offsets = [abs(p.coord) for p in pair if not p.is_limit()]

@@ -211,10 +211,21 @@ def _copy_range(space, tag):
 
 
 def metric(space, p, q):
-    """Distance; accepts two points or two point pairs (sum metric)."""
-    if isinstance(p, tuple):
+    """Distance; accepts two points or two point pairs (sum metric).
+    Anything else, a point against a pair included, raises a TypeError
+    naming both arguments."""
+    if isinstance(p, Point) and isinstance(q, Point):
+        return _metric1(space, p, q)
+    if is_pair(p) and is_pair(q):
         return _metric1(space, p[0], q[0]) + _metric1(space, p[1], q[1])
-    return _metric1(space, p, q)
+    raise TypeError("metric needs two points or two pairs of points, got "
+                    "%r and %r" % (p, q))
+
+
+def is_pair(p):
+    """Whether p is a pair of points."""
+    return (isinstance(p, tuple) and len(p) == 2
+            and isinstance(p[0], Point) and isinstance(p[1], Point))
 
 
 @lru_cache(maxsize=1_000_000)

@@ -27,6 +27,15 @@ def test_lamp_box_contents():
     assert all(set(g.lamps) | {g.a} <= {1, 2} for g in els)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lamp_box_order(n):
+    # shift-major, then the toggle sites of A_n as the bits of a counter
+    sites = range(n, 2 * n + 1)
+    assert elements(LampBox(), n) == [
+        Lamp(a, tuple(s for i, s in enumerate(sites) if mask >> i & 1))
+        for a in sites for mask in range(2 ** (n + 1))]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_lamp_box_cardinality(n):
     assert cardinality(LampBox(), n) == len(elements(LampBox(), n)) \

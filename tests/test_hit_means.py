@@ -2,22 +2,24 @@
 
 `pushforward.hit_means` reads a ball's hitting density over F_n and
 over F_n.t from the shifts in [-A, A] plus two constant tails.  Every
-reading must equal `density.hitting_density` over `folner.elements`
-(multiplied by t for a translate), including radii on and next to the
-limit distance D, where membership switches late or never settles."""
+reading must equal acting on and testing every element of
+`folner.elements` (multiplied by t for a translate), including radii
+on and next to the limit distance D, where membership switches late or
+never settles."""
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from meandyn import density, folner, pushforward, spaces
+from meandyn import folner, pushforward, spaces
 from meandyn.folner import ZCentered, ZInitial, ZShifted
 from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
                              MINF1, MINF2, PINF1, THREE_GLUED, TP_MINF,
                              TP_PINF, TWO_POINT, down, up)
 from meandyn.groups import INTEGERS, IntShift, multiply
 from meandyn.spaces import (M_INF, O_INF, P_INF, SHIFT, TRANSLATE, Ball,
-                            Point, metric, one_point_space, two_point_space)
+                            Point, act, contains, metric, one_point_space,
+                            two_point_space)
 
 LAMPLIGHTER_Z_TRANSLATE = one_point_space((0, 1), INTEGERS, TRANSLATE,
                                           name="lamplighter-z-translate")
@@ -81,10 +83,12 @@ def cases(draw):
 
 
 def oracle(space, pair, ball, family, n, t):
+    """Act on and test every element of F_n, or of F_n.t."""
     els = folner.elements(family, n)
     if t is not None:
         els = [multiply(f, t) for f in els]
-    return density.hitting_density(space, pair, ball, els).ratio
+    return Fraction(sum(contains(space, ball, act(space, g, pair))
+                        for g in els), len(els))
 
 
 class CountingContains:

@@ -90,6 +90,15 @@ def test_w1_non_isometric_support_takes_the_flow_route(monkeypatch):
     assert routes == ["flow"]
 
 
+def test_w1_rejects_a_point_measure_against_a_pair_measure():
+    point = dirac(TWO_POINT, TP_MINF)
+    pair = dirac(TWO_POINT, (TP_MINF, TP_MINF))
+    for mu, nu in ((point, pair), (pair, point)):
+        with pytest.raises(ValueError, match="one measure lives on points "
+                           "and the other on pairs of points"):
+            w1(mu, nu)
+
+
 def test_w1_over_the_atom_budget_raises():
     n = measures.MAX_ATOMS + 1
     big = measure(TWO_POINT, [(Point(s, 1), Fraction(1, n)) for s in range(n)])

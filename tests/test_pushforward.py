@@ -14,7 +14,7 @@ from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
                              THREE_GLUED, TP_MINF, TP_PINF, TWO_POINT, down,
                              up)
 from meandyn.groups import GroupMismatchError, IntShift, Lamp, multiply
-from meandyn.spaces import M_INF, O_INF, Ball, Point, act, metric
+from meandyn.spaces import M_INF, O_INF, Ball, Point, act, contains, metric
 
 INTEGER_SPACES = (LITERATURE_DOCK, LAMPLIGHTER_Z, TWO_POINT, THREE_GLUED)
 Z_FAMILIES = (ZInitial(), ZCentered(), ZShifted())
@@ -51,6 +51,10 @@ def distance(space):
     return lambda pair: metric(space, pair[0], pair[1])
 
 
+def membership(space, nbhd):
+    return lambda image: contains(space, nbhd, image)
+
+
 # ------------------------------------------------------- integer sweeps
 
 @PROPERTY
@@ -59,8 +63,8 @@ def test_sweep_ratios_equal_per_n_hitting_density(case):
     space, family, (lo, hi), pair, ball = case
     prof = density.ua_dens_estimate(space, pair, ball, family, (lo, hi))
     assert prof.ratios == [
-        density.hitting_density(space, pair, ball,
-                                folner.elements(family, n)).ratio
+        enumerated_mean(space, pair, folner.elements(family, n),
+                        membership(space, ball))
         for n in range(lo, hi + 1)]
 
 
@@ -193,8 +197,8 @@ def banach_cases(draw):
 def test_translate_sweep_equals_enumeration(case):
     space, shape, n, translates, pair, ball = case
     base = folner.elements(shape, n)
-    ratios = [density.hitting_density(space, pair, ball,
-                                      [multiply(f, t) for f in base]).ratio
+    ratios = [enumerated_mean(space, pair, [multiply(f, t) for f in base],
+                              membership(space, ball))
               for t in translates]
     sup, argmax = Fraction(0), None
     for t, r in zip(translates, ratios):   # first strict maximum

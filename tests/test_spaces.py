@@ -64,6 +64,20 @@ def test_pair_metric_is_sum():
     assert metric(LAMPLIGHTER, p, q) == metric(LAMPLIGHTER, up(0), up(2))
 
 
+@pytest.mark.parametrize("p, q", [
+    (up(0), (up(0), down(0))),
+    ((up(0), down(0)), up(0)),
+    ((up(0), down(0), down(1)), (up(0), down(0))),
+    ((up(0), down(0)), ((up(0), down(0)), up(1))),
+    (0, up(0)),
+])
+def test_metric_rejects_mismatched_shapes(p, q):
+    with pytest.raises(TypeError) as err:
+        metric(LAMPLIGHTER, p, q)
+    assert str(err.value) == ("metric needs two points or two pairs of "
+                              "points, got %r and %r" % (p, q))
+
+
 @pytest.mark.parametrize("space", SPACES + [FAR_LAYOUT])
 def test_metric_axioms_on_truncation(space):
     # every kind of layout that two_point_space builds: one chain, one
