@@ -16,9 +16,17 @@ class GroupMismatchError(ValueError):
     pass
 
 
+def _check_shift(a):
+    if not isinstance(a, int):
+        raise TypeError("shift %r is not an int" % (a,))
+
+
 @dataclass(frozen=True)
 class IntShift:
     a: int
+
+    def __post_init__(self):
+        _check_shift(self.a)
 
 
 @dataclass(frozen=True)
@@ -27,6 +35,7 @@ class Lamp:
     lamps: tuple = ()
 
     def __post_init__(self):
+        _check_shift(self.a)
         lamps = tuple(self.lamps)
         if list(lamps) != sorted(set(lamps)):
             raise ValueError("toggle sites must be strictly sorted: %r" % (lamps,))

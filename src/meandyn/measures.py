@@ -7,14 +7,19 @@ measures, and `cluster_detect` runs it once over its whole tail.  The
 path sorts the union support once.  When that support is isometric to
 a subset of the line (always the case inside one connected component,
 and for pair measures whose two legs move monotonically together), it
-reads every distance from one sweep over that chart; otherwise it runs
-a min-cost flow per pair.  Both routes run on integers.  The line route
-sums |CDF| times gap along the chart with positions and weights scaled
-by the lcm of their denominators; the flow route scales the weights and
-the cost matrix the same way and runs successive shortest paths,
-Dijkstra on reduced costs with node potentials.  Each answer is the
-integer total over the product of the two scales, so it stays exact.
-The two routes agree on their overlap, which the test suite checks.
+reads every distance from one sweep over that chart; otherwise it
+solves one transportation problem per pair.  Both routes run on
+integers.  The line route sums |CDF| times gap along the chart with
+positions and weights scaled by the lcm of their denominators.  The
+flow route reads its whole cost table from one integer chart of the
+legs (`spaces.integer_chart`), scales the weights the same way, and
+runs a transportation simplex: a least-cost start, integer duals on a
+spanning-tree basis, and Orden's perturbation of the weights, so no
+pivot is degenerate and the simplex cannot cycle.  When either side is
+a single atom, W1 is the sum of weight times distance.  Each answer is
+the integer total over the product of the two scales, so it stays
+exact.  The two routes agree on their overlap, which the test suite
+checks.
 
 The limit probes read four module constants: `cluster_detect` compares
 the last CLUSTER_TAIL measures against CLUSTER_TOL, and `heavy_limits`
@@ -34,7 +39,7 @@ from fractions import Fraction
 
 from . import folner, spaces
 from .pushforward import images
-from .spaces import canonical, component, embed, metric, sort_key
+from .spaces import canonical, component, embed, sort_key
 
 
 @dataclass(frozen=True)
@@ -192,78 +197,177 @@ def _w1_line(pos, vectors):
 
 
 def _w1_flow(space, mu, nu):
-    """Min-cost flow on the bipartite transport network, exact.
+    """Transportation simplex on Python ints, exact.
 
-    Weights and costs are scaled to integers by the lcm of their
-    denominators, so the answer is total / (weight_scale * cost_scale).
-    Successive shortest paths: each round runs Dijkstra on reduced
-    costs from the sources with supply left, stops at the first sink
-    with demand left, raises every potential by min(distance, that
-    sink's distance) and pushes the bottleneck amount along the path.
-    Reduced costs stay non-negative and every flow-carrying arc stays
-    tight, so each intermediate flow is optimal for its value."""
+    Rows are the atoms of the measure with more of them, columns those
+    of the other.  The cost table is read from one integer chart
+    (`_cost_columns`) and the weights are scaled by the lcm of their
+    denominators, so the answer is the integer optimum over the product
+    of the two scales.  When either measure is a single atom there is one
+    column, and W1 is the sum over the rows of weight times distance.
+
+    Otherwise Orden's perturbation makes every basis non-degenerate:
+    with S = m + 1 for m rows, each supply becomes S * a + 1 and the
+    last demand S * b + m, the rest S * b.  No proper set of rows and
+    set of columns then balance, so every basic solution has m + n - 1
+    positive cells, and each pivot strictly lowers the cost: the
+    simplex cannot cycle.  A basis optimal for the perturbed weights is
+    optimal for the true ones too: its true basic flows differ from the
+    perturbed ones over S by less than 1 and are integers, so they are
+    feasible, and its duals u, v price every cell at c - u - v >= 0.
+    So the optimum is sum a * u + sum b * v.
+
+    The least-cost start fills cells in order of cost.  The basis is a
+    spanning tree on rows and columns, rooted at the last column, with
+    integer duals.  Each round prices one column at a time, cyclically,
+    and enters its most negative reduced cost; the cell leaving is the
+    minus cell of least flow on the entering cell's cycle, and only the
+    subtree cut off by it is re-hung and has its duals read again."""
+    if len(mu.atoms) < len(nu.atoms):
+        mu, nu = nu, mu
+    scale, cols = _cost_columns(space, [p for p, _ in mu.atoms],
+                                [q for q, _ in nu.atoms])
     weight_scale = math.lcm(*(w.denominator for _, w in mu.atoms + nu.atoms))
-    costs = [[metric(space, p, q) for q, _ in nu.atoms] for p, _ in mu.atoms]
-    cost_scale = math.lcm(*(c.denominator for row in costs for c in row))
-    cost = [[c.numerator * (cost_scale // c.denominator) for c in row]
-            for row in costs]
-    supply = [w.numerator * (weight_scale // w.denominator) for _, w in mu.atoms]
-    demand = [w.numerator * (weight_scale // w.denominator) for _, w in nu.atoms]
-    m, n = len(supply), len(demand)
-    flow = [[0] * n for _ in range(m)]
-    pot = [0] * (m + n)  # node i < m is source i, node m + j is sink j
-    remaining = sum(supply)
-    guard = 4 * (m + n) * (m + n)
-    while remaining:
+    a = [w.numerator * (weight_scale // w.denominator) for _, w in mu.atoms]
+    b = [w.numerator * (weight_scale // w.denominator) for _, w in nu.atoms]
+    if len(b) == 1:
+        return Fraction(sum(map(int.__mul__, a, cols[0])),
+                        weight_scale * scale)
+    u, v = _transport_simplex(cols, a, b)
+    total = sum(map(int.__mul__, a, u)) + sum(map(int.__mul__, b, v))
+    return Fraction(total, weight_scale * scale)
+
+
+def _cost_columns(space, rows, cols):
+    """(scale, table): table[j][i] is the int
+    metric(space, rows[i], cols[j]) * scale, for points or for pairs of
+    points.  Every leg is placed once on `spaces.integer_chart`, so no
+    `metric` call is made; a pair's cost adds its two legs' distances,
+    and each distinct leg of `cols` gets its column once."""
+    sides = [(rows, cols)]
+    if isinstance(rows[0], tuple):
+        sides = [([p[k] for p in rows], [q[k] for q in cols]) for k in (0, 1)]
+    scale, chart = spaces.integer_chart(
+        space, {p for side in sides for legs in side for p in legs})
+    table = None
+    for legs, targets in sides:
+        placed = [chart[p] for p in legs]
+        column = {}
+        for q in targets:
+            if q not in column:
+                piece, i, y = chart[q]
+                column[q] = [abs(x - y) if c == piece else scale * abs(k - i)
+                             for c, k, x in placed]
+        part = [column[q] for q in targets]
+        table = part if table is None else [
+            list(map(int.__add__, s, t)) for s, t in zip(table, part)]
+    return scale, table
+
+
+def _transport_simplex(cols, a, b):
+    """(u, v) of an optimal basis for supplies `a` and demands `b` under
+    the integer costs cols[j][i], with Orden's perturbation; see
+    `_w1_flow`."""
+    m, n = len(a), len(b)
+    big = m + 1
+    supply = [big * x + 1 for x in a]
+    demand = [big * y for y in b]
+    demand[-1] += m
+    # least-cost start: each filled cell but the last exhausts exactly
+    # one of its row and its column, so the m + n - 1 cells form a tree
+    flat = [c for col in cols for c in col]
+    flow = {}   # cell j * m + i of the basis -> its perturbed flow
+    for k in sorted(range(m * n), key=flat.__getitem__):
+        j, i = divmod(k, m)
+        if supply[i] and demand[j]:
+            x = min(supply[i], demand[j])
+            supply[i] -= x
+            demand[j] -= x
+            flow[k] = x
+            if len(flow) == m + n - 1:
+                break
+    if len(flow) != m + n - 1 or any(supply) or any(demand):
+        raise AssertionError("least-cost start is not a spanning tree")
+    # node i < m is row i, node m + j is column j; the tree is rooted at
+    # the last column, and u[i] + v[j] is the cost of each tree cell
+    adj = [[] for _ in range(m + n)]
+    for k in flow:
+        j, i = divmod(k, m)
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent, depth = [None] * (m + n), [0] * (m + n)
+    u, v = [0] * m, [0] * n
+
+    def hang(top, hook):
+        """Hang the subtree of `top` below `hook` (None at the root), and
+        read each of its nodes' dual off the cell joining it to its
+        parent."""
+        parent[top] = hook
+        stack = [top]
+        while stack:
+            x = stack.pop()
+            y = parent[x]
+            if y is not None:
+                depth[x] = depth[y] + 1
+                if x < m:
+                    u[x] = cols[y - m][x] - v[y - m]
+                else:
+                    v[x - m] = cols[x - m][y] - u[y]
+            for z in adj[x]:
+                if z != y:
+                    parent[z] = x
+                    stack.append(z)
+
+    def cell(x):    # the tree cell joining node x to its parent
+        y = parent[x]
+        return (y - m) * m + x if x < m else (x - m) * m + y
+
+    hang(m + n - 1, None)
+
+    guard = 50 * (m + n) ** 2
+    j = 0
+    while True:
+        # price one column at a time, cyclically, from the last pivot's
+        for _ in range(n):
+            j = (j + 1) % n
+            reduced = list(map(int.__sub__, cols[j], u))
+            low = min(reduced)
+            if low < v[j]:
+                break
+        else:
+            return u, v
         guard -= 1
         if guard < 0:
-            raise AssertionError("transport solver failed to terminate")
-        # Dijkstra over the reached, unfinished nodes; a finished node's
-        # distance is at most the current one, so it is never reopened
-        dist = [0 if s else math.inf for s in supply] + [math.inf] * n
-        prev = [None] * (m + n)
-        frontier = {i: 0 for i in range(m) if supply[i]}
-        while True:
-            if not frontier:
-                raise AssertionError("no augmenting path in transport network")
-            u = min(frontier, key=frontier.get)
-            base = frontier.pop(u) + pot[u]
-            if u < m:
-                for j, c in enumerate(cost[u]):
-                    d = base + c - pot[m + j]
-                    if d < dist[m + j]:
-                        dist[m + j] = frontier[m + j] = d
-                        prev[m + j] = u
-            elif demand[u - m]:
-                break
-            else:  # backward arcs cancel flow into this sink
-                for i in range(m):
-                    if flow[i][u - m]:
-                        d = base - cost[i][u - m] - pot[i]
-                        if d < dist[i]:
-                            dist[i] = frontier[i] = d
-                            prev[i] = u
-        top = dist[u]
-        pot = [p + min(d, top) for p, d in zip(pot, dist)]
-        # walk back: sink <- source (forward arc) <- sink (backward arc) ...
-        sink = u - m
-        path = []
-        while True:
-            i = prev[u]
-            path.append((i, u - m))
-            if prev[i] is None:
-                break
-            u = prev[i]
-            path.append((i, u - m))
-        amount = min(supply[i], demand[sink],
-                     *(flow[a][b] for a, b in path[1::2]))
-        for k, (a, b) in enumerate(path):
-            flow[a][b] += -amount if k % 2 else amount
-        supply[i] -= amount
-        demand[sink] -= amount
-        remaining -= amount
-    total = sum(f * c for frow, crow in zip(flow, cost) for f, c in zip(frow, crow))
-    return Fraction(total, weight_scale * cost_scale)
+            raise AssertionError("transport simplex failed to terminate")
+        i = reduced.index(low)
+        # the cycle of cell (i, j): the tree paths from both ends up to
+        # where they meet; the cells nearest either end lose flow, and
+        # then every other one along each path
+        left, right, x, y = [], [], i, m + j
+        while x != y:
+            if depth[x] >= depth[y]:
+                left.append(x)
+                x = parent[x]
+            else:
+                right.append(y)
+                y = parent[y]
+        out = min(left[::2] + right[::2], key=lambda z: flow[cell(z)])
+        theta = flow[cell(out)]
+        for path in (left, right):
+            for z in path[::2]:
+                flow[cell(z)] -= theta
+            for z in path[1::2]:
+                flow[cell(z)] += theta
+        del flow[cell(out)]
+        flow[j * m + i] = theta
+        # cut the leaving cell, and hang the subtree it cut off from the
+        # entering cell's other end
+        above = parent[out]
+        adj[out].remove(above)
+        adj[above].remove(out)
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+        hang(*((i, m + j) if out in left else (m + j, i)))
 
 
 # ----------------------------------------------------- limits and clustering

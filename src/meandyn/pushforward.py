@@ -136,9 +136,9 @@ def _image_key(g, sites, i):
     `sites` of a Lamp, which move a leg only there (the classes of
     `_box_images`); the position i of anything else, which is then
     acted on by itself."""
-    if isinstance(g, IntShift) and isinstance(g.a, int):
+    if isinstance(g, IntShift):
         return g.a
-    if isinstance(g, Lamp) and isinstance(g.a, int):
+    if isinstance(g, Lamp):
         return g.a, tuple(s in g.lamps for s in sites)
     return None, i
 

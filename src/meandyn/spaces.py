@@ -139,8 +139,15 @@ def canonical(space, p):
 
 
 def _checked(space, p):
-    """The canonical form of `p`, whose copy must belong to the space."""
-    p = canonical(space, p)
+    """The canonical form of `p`, whose copy must belong to the space and
+    whose coordinate must be an int or a limit: the action moves a
+    finite coordinate through the integers, and the caches below are
+    keyed by points, so an equal float must not reach them."""
+    if p.coord in _LIMITS:   # only limit points are glued
+        p = canonical(space, p)
+    elif not isinstance(p.coord, int):
+        raise TypeError("finite coordinate %r of %r is not an int"
+                        % (p.coord, p))
     if p.copy not in space.copies:
         raise ValueError("copy %r not in space %r" % (p.copy, space.name or space.kind))
     return p
@@ -215,9 +222,10 @@ def metric(space, p, q):
     Anything else, a point against a pair included, raises a TypeError
     naming both arguments."""
     if isinstance(p, Point) and isinstance(q, Point):
-        return _metric1(space, p, q)
+        return _metric1(space, _checked(space, p), _checked(space, q))
     if is_pair(p) and is_pair(q):
-        return _metric1(space, p[0], q[0]) + _metric1(space, p[1], q[1])
+        return (_metric1(space, _checked(space, p[0]), _checked(space, q[0]))
+                + _metric1(space, _checked(space, p[1]), _checked(space, q[1])))
     raise TypeError("metric needs two points or two pairs of points, got "
                     "%r and %r" % (p, q))
 
@@ -230,12 +238,29 @@ def is_pair(p):
 
 @lru_cache(maxsize=1_000_000)
 def _metric1(space, p, q):
-    p, q = _checked(space, p), _checked(space, q)
+    # p and q have passed _checked
     if p == q:
         return Fraction(0)
     if _piece(space, p) == _piece(space, q):
         return abs(_line_coordinate(space, p) - _line_coordinate(space, q))
     return Fraction(abs(space.copies.index(p.copy) - space.copies.index(q.copy)))
+
+
+def integer_chart(space, points):
+    """(scale, chart): chart maps each of `points` to (piece, copy index,
+    x), with x its line coordinate times `scale`, the lcm of the
+    coordinates' denominators.  Then metric(space, p, q) * scale is
+    |x - y| for p and q in one piece, and their copy separation times
+    scale across pieces, both ints: `_metric1` read on one integer
+    scale, with each point checked once."""
+    chart = {}
+    for p in points:
+        c = _checked(space, p)
+        chart[p] = (_piece(space, c), space.copies.index(c.copy),
+                    _line_coordinate(space, c))
+    scale = math.lcm(*{x.denominator for _, _, x in chart.values()})
+    return scale, {p: (piece, i, x.numerator * (scale // x.denominator))
+                   for p, (piece, i, x) in chart.items()}
 
 
 def nearest_distance(space, left, right):
@@ -318,7 +343,7 @@ def limit_distance(space, c, p, sign):
             forward = sign > 0 if space.action == TRANSLATE else sign < 0
             end = P_INF if forward else M_INF
         p = canonical(space, Point(end, p.copy))
-    return _metric1(space, c, p)
+    return _metric1(space, _checked(space, c), p)
 
 
 def shift_distance_total(space, p, q, lo, hi):
@@ -333,7 +358,7 @@ def shift_distance_total(space, p, q, lo, hi):
     segments with disjoint interiors.  So one evaluation at the part's
     first shift fixes it, and the part adds that sign times the
     difference of the two coordinate sums."""
-    p, q = _integral(space, p), _integral(space, q)
+    p, q = _checked(space, p), _checked(space, q)
     if _piece(space, p) != _piece(space, q):
         return (hi - lo + 1) * _metric1(space, p, q)
     sigma = 1 if space.action == TRANSLATE else -1
@@ -349,16 +374,6 @@ def shift_distance_total(space, p, q, lo, hi):
             part = -part
         total += part
     return total
-
-
-def _integral(space, p):
-    """The canonical form of `p`, whose coordinate must be an int or a
-    limit: a shift moves a finite coordinate through the integers."""
-    p = _checked(space, p)
-    if not (p.is_limit() or isinstance(p.coord, int)):
-        raise TypeError("finite coordinate %r of %r is not an int"
-                        % (p.coord, p))
-    return p
 
 
 def _line_total(space, p, sigma, lo, hi):

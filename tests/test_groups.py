@@ -1,3 +1,5 @@
+import re
+
 from hypothesis import given, strategies as st
 
 from meandyn.groups import (INTEGERS, LAMPLIGHTER, GroupMismatchError, IntShift,
@@ -24,6 +26,14 @@ def test_unsorted_lamps_rejected():
         Lamp(0, (2, 1))
     with pytest.raises(ValueError):
         Lamp(0, (1, 1))
+
+
+@pytest.mark.parametrize("build", [IntShift, lambda a: Lamp(a, ())])
+@pytest.mark.parametrize("a", [None, 1.5, "2"])
+def test_a_shift_that_is_not_an_int_is_rejected(build, a):
+    with pytest.raises(TypeError, match="shift %s is not an int"
+                       % re.escape(repr(a))):
+        build(a)
 
 
 def test_group_mismatch():

@@ -111,8 +111,8 @@ def test_w1_over_the_atom_budget_raises():
 def _reference_flow(space, mu, nu):
     """Test-only reference: successive shortest augmenting paths found
     by Bellman-Ford over the residual network, all arithmetic in
-    Fractions.  This was the flow route before it moved to scaled
-    integers and Dijkstra with potentials."""
+    Fractions.  It shares no code with the transportation simplex of
+    the flow route."""
     sources, sinks = list(mu.atoms), list(nu.atoms)
     m, n = len(sources), len(sinks)
     cost = [[metric(space, p, q) for q, _ in sinks] for p, _ in sources]
@@ -190,20 +190,36 @@ def _weighted(draw, support):
 
 @st.composite
 def measure_pairs(draw):
-    """Two measures of at most 10 atoms each: pair measures on
-    three-glued or the lamplighter, or point measures on lamplighter-z."""
+    """Two measures, one of at most 40 atoms and the other of at most
+    10: pair measures on three-glued or the lamplighter, or point
+    measures on lamplighter-z.  Degenerate cases are drawn often: a
+    single atom on either side, equal weights, and rows of equal costs,
+    when each side keeps to its own copy of a space of two pieces and
+    every cost is the copy separation."""
     space = draw(st.sampled_from((THREE_GLUED, LAMPLIGHTER, LAMPLIGHTER_Z)))
-    atom = (_points(space) if space is LAMPLIGHTER_Z
-            else st.tuples(_points(space), _points(space)))
+    split = space is not THREE_GLUED and draw(st.booleans())
+    equal = draw(st.booleans())
 
-    def one():
-        support = draw(st.lists(atom, min_size=1, max_size=10))
+    def one(copies, size):
+        pts = (st.sampled_from([q for q in space.limit_points()
+                                if q.copy in copies])
+               | st.builds(Point, st.integers(-30, 30),
+                           st.sampled_from(copies)))
+        atom = pts if space is LAMPLIGHTER_Z else st.tuples(pts, pts)
+        k = draw(st.integers(1, size))
+        support = draw(st.lists(atom, min_size=k, max_size=k, unique=True))
+        if equal:
+            return measure(space, [(p, Fraction(1, len(support)))
+                                   for p in support])
         return measure(space, _weighted(draw, support))
 
-    return space, one(), one()
+    sizes = draw(st.sampled_from(((1, 40), (40, 1), (40, 10), (10, 40))))
+    copies = space.copies
+    sides = ((copies[:1], copies[1:]) if split else (copies, copies))
+    return space, one(sides[0], sizes[0]), one(sides[1], sizes[1])
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=400)
 @given(measure_pairs())
 def test_w1_flow_matches_the_reference_and_the_line_route(case):
     space, mu, nu = case
@@ -214,6 +230,49 @@ def test_w1_flow_matches_the_reference_and_the_line_route(case):
                      key=lambda p: spaces.sort_key(space, p))
     if measures._line_positions(space, support) is not None:
         assert d == w1(mu, nu)
+
+
+def _raw_points(space):
+    """Finite points of every copy and all ends of every copy, the glued
+    aliases among them."""
+    ends = ((spaces.O_INF,) if space.kind == spaces.ONE_POINT
+            else (spaces.M_INF, spaces.P_INF))
+    return st.builds(Point, st.integers(-40, 40) | st.sampled_from(ends),
+                     st.sampled_from(space.copies))
+
+
+@st.composite
+def cost_cases(draw):
+    space = draw(st.sampled_from((LITERATURE_DOCK, LAMPLIGHTER_Z, LAMPLIGHTER,
+                                  TWO_POINT, THREE_GLUED)))
+    atom = _raw_points(space)
+    if draw(st.booleans()):
+        atom = st.tuples(atom, atom)
+    rows = draw(st.lists(atom, min_size=1, max_size=8))
+    return space, rows, draw(st.lists(atom, min_size=1, max_size=8))
+
+
+@settings(deadline=None, max_examples=300)
+@given(cost_cases())
+def test_cost_table_over_its_scale_is_the_metric(case):
+    space, rows, cols = case
+    scale, table = measures._cost_columns(space, rows, cols)
+    assert all(isinstance(c, int) for col in table for c in col)
+    assert [[Fraction(c, scale) for c in col] for col in table] == [
+        [metric(space, p, q) for p in rows] for q in cols]
+
+
+def test_w1_flow_equals_the_line_route_on_a_large_case():
+    # 401 pair atoms against 241 on one monotone chain: the line route
+    # applies, and it shares no code with the simplex
+    mu = empirical(THREE_GLUED, (Point(3, 1), Point(3, 3)), ZCentered(), 200)
+    nu = empirical(THREE_GLUED, (Point(-5, 1), Point(-5, 3)), ZCentered(),
+                   120)
+    support = sorted({p for p, _ in mu.atoms + nu.atoms},
+                     key=lambda p: spaces.sort_key(THREE_GLUED, p))
+    assert measures._line_positions(THREE_GLUED, support) is not None
+    assert len(mu.atoms) == 401
+    assert measures._w1_flow(THREE_GLUED, mu, nu) == w1(mu, nu)
 
 
 def test_w1_flow_is_exact_beyond_machine_words():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meandyn import spaces
 from meandyn.gallery import (LAMPLIGHTER, LAMPLIGHTER_Z, LITERATURE_DOCK,
                              MINF1, MINF2, PINF1, PINF2, THREE_GLUED,
                              TWO_POINT, down, up)
@@ -136,6 +137,29 @@ def test_a_point_outside_the_space_is_rejected_even_against_itself():
         contains(TWO_POINT, Ball(stray, Fraction(1, 2)), stray)
     with pytest.raises(ValueError, match="copy 9"):
         metric(TWO_POINT, (Point(0, 1), stray), (Point(0, 1), stray))
+
+
+def test_a_coordinate_that_is_not_an_int_is_rejected_before_any_cache():
+    # Point(4.0, 1) equals Point(4, 1), so a cache keyed by points would
+    # answer for it once the int point had been seen
+    spaces._metric1.cache_clear()
+    spaces._psi.cache_clear()
+    spaces._phi.cache_clear()
+    calls = [
+        lambda c: metric(TWO_POINT, Point(c, 1), Point(0, 1)),
+        lambda c: metric(THREE_GLUED, (Point(0, 1), Point(c, 3)),
+                         (Point(0, 1), Point(0, 3))),
+        lambda c: embed(TWO_POINT, Point(c, 1)),
+        lambda c: embed(LAMPLIGHTER_Z, up(c)),
+        lambda c: act(TWO_POINT, IntShift(1), Point(c, 1)),
+    ]
+    message = r"finite coordinate 4\.0 of Point\(4\.0, \d\) is not an int"
+    for call in calls:
+        with pytest.raises(TypeError, match=message):
+            call(4.0)
+        call(4)
+        with pytest.raises(TypeError, match=message):
+            call(4.0)
 
 
 def test_point_text_roundtrip():
