@@ -58,12 +58,13 @@ def ub_dens_estimate(space, pair, nbhd, shape, n, translates,
     estimate from below of the Banach density.  `argmax` is the first
     translate reaching the best density, None when every density is 0."""
     translates = list(translates)
-    folner.cardinality(shape, n, budget)  # checked even with no translates
-    ratios = pushforward.hit_means(space, pair, nbhd, shape,
-                                   [(n, t) for t in translates], budget)
-    best = (Fraction(0), None)
-    for t, r in zip(translates, ratios):
-        if r > best[0]:
-            best = (r, t)
-    return {"sup": best[0], "argmax": best[1], "shape_n": n,
+    size = folner.cardinality(shape, n, budget)  # checked with no translates
+    # every translate has |F_n| elements, so their hit counts compare
+    totals = pushforward.hit_totals(space, pair, nbhd, shape,
+                                    [(n, t) for t in translates], budget)
+    best, argmax = 0, None
+    for t, total in zip(translates, totals):
+        if total > best:
+            best, argmax = total, t
+    return {"sup": Fraction(best, size), "argmax": argmax, "shape_n": n,
             "translates": len(translates)}

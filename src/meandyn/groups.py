@@ -7,6 +7,7 @@ as  "s^a t{b1,b2,...}".
 """
 
 from dataclasses import dataclass
+from operator import lt
 
 INTEGERS = "integers"
 LAMPLIGHTER = "lamplighter"
@@ -36,10 +37,12 @@ class Lamp:
 
     def __post_init__(self):
         _check_shift(self.a)
-        lamps = tuple(self.lamps)
-        if list(lamps) != sorted(set(lamps)):
+        lamps = self.lamps
+        if type(lamps) is not tuple:
+            lamps = tuple(lamps)
+            object.__setattr__(self, "lamps", lamps)
+        if not all(map(lt, lamps, lamps[1:])):
             raise ValueError("toggle sites must be strictly sorted: %r" % (lamps,))
-        object.__setattr__(self, "lamps", lamps)
 
 
 def multiply(g, h):

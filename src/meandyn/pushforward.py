@@ -22,17 +22,18 @@ A Cesaro average needs no image at all on an integer window:
 (`spaces.shift_distance_total`), as reciprocal sums split at the shifts
 where a leg crosses 0, and reads a lamplighter box off `_box_images`.
 
-`_means` is the one loop over the resolved sets for densities.
-`hit_means` hands it the neighbourhood's membership and,
-for a Ball around a pair, the eventually constant hitting set: with an
-exact integer A and the two limit verdicts (`_tails`), every window is
-swept clipped to [-A, A], so `contains` runs only on the requested
-shifts inside it, and the window's overlaps with (A, inf) and
-(-inf, -A) are counted.  Its cost then grows with A, not with the window
-or the translate range.  Without tails (a limit on the sphere, another
-neighbourhood) nothing is clipped, and a lamplighter box takes its
-closed form whatever the tails.  `images` resolves its one set through
-the same `_sets`.
+`_means` is the one loop over the resolved sets for densities, and
+totals each set as an int.  `hit_means` (the shares) and `hit_totals`
+(the counts) hand it the neighbourhood's membership, tested once per
+distinct image, and, for a Ball around a pair, the eventually constant
+hitting set: with an exact integer A and the two limit verdicts
+(`_tails`), every window is swept clipped to [-A, A], so `contains`
+runs only on the requested shifts inside it, and the window's overlaps
+with (A, inf) and (-inf, -A) are counted.  Its cost then grows with A,
+not with the window or the translate range.  Without tails (a limit
+on the sphere, another neighbourhood) nothing is clipped, and a
+lamplighter box takes its closed form whatever the tails.  `images`
+resolves its one set through the same `_sets`.
 
 `hit_count` counts the hits of a given element list, with repeats, as
 `density.hitting_density` reports them.  Each element is keyed by what
@@ -92,12 +93,29 @@ def hit_means(space, pair, nbhd, family, requests, budget=folner.ATOM_BUDGET):
     For a Ball around a pair and an integer window family, membership is
     constant beyond an exact bound A in each direction (`_tails`), so
     `contains` runs only on the requested shifts inside [-A, A]."""
+    sets = _sets(family, requests, budget)
+    return [Fraction(total, size) for total, (size, _, _, _)
+            in zip(_hits(space, pair, nbhd, sets), sets)]
+
+
+def hit_totals(space, pair, nbhd, family, requests, budget=folner.ATOM_BUDGET):
+    """How many elements of F_n, or of F_n.t, send `pair` into `nbhd`:
+    one int per (n, t) in `requests`, the numerators of `hit_means`
+    over |F_n|."""
+    return _hits(space, pair, nbhd, _sets(family, requests, budget))
+
+
+def _hits(space, pair, nbhd, sets):
+    # translates of a lamplighter box share images, so each distinct
+    # image is tested once
+    verdicts = {}
 
     def hit(image):
-        return spaces.contains(space, nbhd, image)
+        if image not in verdicts:
+            verdicts[image] = spaces.contains(space, nbhd, image)
+        return verdicts[image]
 
-    return _means(space, pair, _sets(family, requests, budget), hit,
-                  _tails(space, pair, nbhd))
+    return _means(space, pair, sets, hit, _tails(space, pair, nbhd))
 
 
 def hit_count(space, start, nbhd, elements):
@@ -188,11 +206,14 @@ def _sets(family, requests, budget):
     """(|F_n|, n, translate, shift window or None) per request
     (n, translate): the index checked against the budget, then the shift
     range of F_n.translate for an integer window family, None for a
-    lamplighter box, and the translate checked against its group."""
-    out = []
+    lamplighter box, and the translate checked against its group.  Each
+    distinct n is resolved once."""
+    out, resolved = [], {}
     for n, t in requests:
-        size = folner.cardinality(family, n, budget)
-        window = folner.shift_window(family, n)
+        if n not in resolved:
+            resolved[n] = (folner.cardinality(family, n, budget),
+                           folner.shift_window(family, n))
+        size, window = resolved[n]
         if t is not None and not isinstance(t, Lamp if window is None
                                             else IntShift):
             raise GroupMismatchError("cannot translate %r by %r" % (family, t))
@@ -203,7 +224,7 @@ def _sets(family, requests, budget):
 
 
 def _means(space, start, sets, weight, tails):
-    """Mean of weight over the images of `start`, one Fraction per set.
+    """Total of weight over the images of `start`, one int per set.
 
     The windows are swept once, each clipped to [-A, A] for `tails` =
     (A, below, above); a window then adds `below` times its overlap with
@@ -216,7 +237,7 @@ def _means(space, start, sets, weight, tails):
                                 [w for w in clipped if w and w[0] <= w[1]],
                                 weight))
     out = []
-    for (size, n, t, window), inner in zip(sets, clipped):
+    for (_, n, t, window), inner in zip(sets, clipped):
         if window is None:
             total = sum(weight(img) * c for img, c in
                         _box_images(space, start if t is None else
@@ -226,7 +247,7 @@ def _means(space, start, sets, weight, tails):
             total = next(swept) if inner[0] <= inner[1] else 0
             total += below * max(0, min(hi, -bound - 1) - lo + 1)
             total += above * max(0, hi - max(lo, bound + 1) + 1)
-        out.append(Fraction(total, size))
+        out.append(total)
     return out
 
 

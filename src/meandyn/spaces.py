@@ -14,6 +14,11 @@ metric on the chain is plain distance along the line, and points in
 different pieces sit at distance equal to their copy separation.
 `two_point_space` rejects every other layout, and a gluing with a
 finite point, with a `ValueError`.
+
+Every line coordinate comes from one integer ratio n/d per point
+(`_line_ratio`), and ball membership is decided on those ints: the legs'
+distances are summed as one integer fraction and cross-multiplied with
+the radius, so `contains` builds no Fraction and reads no metric cache.
 """
 
 import math
@@ -165,12 +170,6 @@ def _phi(s):
     return Fraction(1, 2 * s - 1)
 
 
-@lru_cache(maxsize=None)
-def _psi(s):
-    # order embedding of Z into (0,1); -inf -> 0, +inf -> 1
-    return (1 + Fraction(s, 1 + abs(s))) / 2
-
-
 def embed(space, p):
     """Line coordinate of a point; exact rational."""
     return _line_coordinate(space, _checked(space, p))
@@ -178,17 +177,41 @@ def embed(space, p):
 
 def _line_coordinate(space, p):
     # p is canonical and its copy is in the space
+    _, _, n, d = _line_ratio(space, p)
+    return Fraction(n, d)
+
+
+def _line_ratio(space, p):
+    """(piece, copy index, n, d) for a canonical point whose copy is in
+    the space: its line coordinate is n/d in lowest terms, d > 0.
+
+    On the i-th one-point circle s sits at i + 1/(2s+1) for s >= 0,
+    i - 1/(2|s|+1) for s < 0 and i at infinity.  On a two-point interval
+    s sits at local (1+|s|+s)/(2(1+|s|)), from 0 at -inf to 1 at +inf,
+    read backwards (1 - local) for direction -1 and moved by the copy's
+    offset."""
+    i = space.copies.index(p.copy)
+    s = p.coord
     if space.kind == ONE_POINT:
-        local = Fraction(0) if p.coord == O_INF else _phi(p.coord)
-        return local + space.copies.index(p.copy)
-    offset, direction = _layout_of(space, p.copy)
-    if p.coord == M_INF:
-        local = Fraction(0)
-    elif p.coord == P_INF:
-        local = Fraction(1)
+        if s == O_INF:
+            return i, i, i, 1
+        d = 2 * abs(s) + 1
+        return i, i, i * d + (1 if s >= 0 else -1), d
+    if s == M_INF:
+        n, d = 0, 1
+    elif s == P_INF:
+        n, d = 1, 1
     else:
-        local = _psi(p.coord)
-    return offset + local if direction > 0 else offset + 1 - local
+        d = 2 + 2 * abs(s)
+        n = 1 + 2 * s if s >= 0 else 1
+    offset, direction = space.layout[i]
+    if direction < 0:
+        n = d - n
+    piece = 0 if space.gluings else i
+    if isinstance(offset, int):
+        return piece, i, n + offset * d, d
+    x = offset + Fraction(n, d)
+    return piece, i, x.numerator, x.denominator
 
 
 def component(space, p):
@@ -253,14 +276,10 @@ def integer_chart(space, points):
     |x - y| for p and q in one piece, and their copy separation times
     scale across pieces, both ints: `_metric1` read on one integer
     scale, with each point checked once."""
-    chart = {}
-    for p in points:
-        c = _checked(space, p)
-        chart[p] = (_piece(space, c), space.copies.index(c.copy),
-                    _line_coordinate(space, c))
-    scale = math.lcm(*{x.denominator for _, _, x in chart.values()})
-    return scale, {p: (piece, i, x.numerator * (scale // x.denominator))
-                   for p, (piece, i, x) in chart.items()}
+    chart = {p: _line_ratio(space, _checked(space, p)) for p in points}
+    scale = math.lcm(*{d for _, _, _, d in chart.values()})
+    return scale, {p: (piece, i, n * (scale // d))
+                   for p, (piece, i, n, d) in chart.items()}
 
 
 def nearest_distance(space, left, right):
@@ -513,6 +532,32 @@ def point_to_json(p):
 
 # ------------------------------------------------------------- neighborhoods
 
+def _in_ball(space, c, r, p):
+    """metric(space, c, p) < r, decided on ints for an int or Fraction
+    radius: each leg adds its copy separation across pieces, and
+    |n_c/d_c - n_p/d_p| in one piece (`_line_ratio`), to one fraction
+    num/den, which is then compared with r by cross-multiplying.  The
+    legs are checked in `metric`'s order, and a point against a pair
+    raises its TypeError."""
+    exact = isinstance(r, (int, Fraction))
+    if exact and isinstance(c, Point) and isinstance(p, Point):
+        legs = ((c, p),)
+    elif exact and is_pair(c) and is_pair(p):
+        legs = zip(c, p)
+    else:   # another radius, or shapes that metric rejects
+        return metric(space, c, p) < r
+    num, den = 0, 1
+    for a, b in legs:
+        piece_a, i, n_a, d_a = _line_ratio(space, _checked(space, a))
+        piece_b, j, n_b, d_b = _line_ratio(space, _checked(space, b))
+        if piece_a != piece_b:
+            num += abs(i - j) * den
+        else:
+            num = num * d_a * d_b + abs(n_a * d_b - n_b * d_a) * den
+            den *= d_a * d_b
+    return num * r.denominator < r.numerator * den
+
+
 @dataclass(frozen=True)
 class Ball:
     center: object  # point or pair
@@ -543,7 +588,7 @@ class ProductOf:
 
 def contains(space, nbhd, p):
     if isinstance(nbhd, Ball):
-        return metric(space, nbhd.center, p) < nbhd.radius
+        return _in_ball(space, nbhd.center, nbhd.radius, p)
     if isinstance(nbhd, ProductOf):
         return (contains(space, nbhd.left, p[0])
                 and contains(space, nbhd.right, p[1]))

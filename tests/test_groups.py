@@ -22,10 +22,20 @@ def test_normal_form_examples():
 
 
 def test_unsorted_lamps_rejected():
-    with pytest.raises(ValueError):
-        Lamp(0, (2, 1))
-    with pytest.raises(ValueError):
-        Lamp(0, (1, 1))
+    for sites, shown in [((2, 1), "(2, 1)"), ((1, 1), "(1, 1)"),
+                         ([0, 3, 3], "(0, 3, 3)"), (iter([5, 4]), "(5, 4)")]:
+        with pytest.raises(ValueError, match="toggle sites must be strictly "
+                           "sorted: %s$" % re.escape(shown)):
+            Lamp(0, sites)
+    with pytest.raises(TypeError, match=r"shift 1\.5 is not an int"):
+        Lamp(1.5, (2, 1))   # the shift is checked first
+
+
+def test_toggle_sites_are_kept_as_a_tuple():
+    for sites in [(1, 4), [1, 4], iter([1, 4]), range(1, 5, 3)]:
+        lamp = Lamp(2, sites)
+        assert type(lamp.lamps) is tuple and lamp.lamps == (1, 4)
+        assert lamp == Lamp(2, (1, 4)) and hash(lamp) == hash(Lamp(2, (1, 4)))
 
 
 @pytest.mark.parametrize("build", [IntShift, lambda a: Lamp(a, ())])

@@ -220,6 +220,31 @@ def test_translate_argmax_is_none_when_nothing_hits():
     assert (est["sup"], est["argmax"], est["translates"]) == (0, None, 2)
 
 
+def test_translates_test_each_distinct_image_once(monkeypatch):
+    # a toggle far from the legs moves no image, so these translates
+    # share most of their images
+    pair, n = (up(5), down(6)), 3
+    ball = Ball((up(O_INF), down(O_INF)), Fraction(1, 5))
+    translates = [Lamp(0, ()), Lamp(0, (40,)), Lamp(1, ()), Lamp(1, (-40,))]
+    base = folner.elements(LampBox(), n)
+    distinct = {act(LAMPLIGHTER, multiply(f, t), pair)
+                for f in base for t in translates}
+    tested = []
+
+    def counted(space, nbhd, image):
+        tested.append(image)
+        return contains(space, nbhd, image)
+
+    monkeypatch.setattr(pushforward.spaces, "contains", counted)
+    totals = pushforward.hit_totals(LAMPLIGHTER, pair, ball, LampBox(),
+                                    [(n, t) for t in translates])
+    assert sorted(tested, key=repr) == sorted(distinct, key=repr)
+    assert totals == [
+        enumerated_mean(LAMPLIGHTER, pair, [multiply(f, t) for f in base],
+                        membership(LAMPLIGHTER, ball)) * len(base)
+        for t in translates]
+
+
 # ------------------------------------------------------------ edge cases
 
 def test_budget_error_fires_at_the_same_index():

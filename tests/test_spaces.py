@@ -143,7 +143,6 @@ def test_a_coordinate_that_is_not_an_int_is_rejected_before_any_cache():
     # Point(4.0, 1) equals Point(4, 1), so a cache keyed by points would
     # answer for it once the int point had been seen
     spaces._metric1.cache_clear()
-    spaces._psi.cache_clear()
     spaces._phi.cache_clear()
     calls = [
         lambda c: metric(TWO_POINT, Point(c, 1), Point(0, 1)),
@@ -364,3 +363,133 @@ def test_one_point_space_rejects_an_unknown_action():
 def test_two_point_space_rejects_an_unknown_action():
     with pytest.raises(ValueError, match="unknown action 'translat'"):
         two_point_space((1,), action="translat")
+
+
+# --------------------------------------------------- ball membership on ints
+
+FRACTION_LAYOUT = two_point_space((1, 2, 3),
+                                  layout=((Fraction(1, 3), 1),
+                                          (Fraction(7, 2), -1),
+                                          (Fraction(-5, 7), 1)),
+                                  name="fraction-layout")
+FRACTION_CHAIN = two_point_space((1, 2), ((Fraction(1, 2), 1),
+                                          (Fraction(3, 2), -1)),
+                                 [(Point(P_INF, 2), PINF1)],
+                                 name="fraction-chain")
+RATIO_SPACES = SPACES + [FRACTION_LAYOUT, FRACTION_CHAIN]
+
+
+def deep_points(space):
+    """Limits of every copy (glued aliases included) and coordinates
+    from small to about 10**40."""
+    limits = [O_INF] if space.kind == ONE_POINT else [M_INF, P_INF]
+    coord = st.one_of(st.integers(-12, 12), st.sampled_from(limits),
+                      st.integers(-10 ** 40, 10 ** 40))
+    return st.builds(Point, coord, st.sampled_from(space.copies))
+
+
+def old_line_coordinate(space, p):
+    """The line coordinate as Fraction arithmetic, the formula that
+    `spaces._line_ratio` replaced."""
+    i = space.copies.index(p.copy)
+    if space.kind == ONE_POINT:
+        if p.coord == O_INF:
+            return Fraction(i)
+        s = p.coord
+        return i + (Fraction(1, 2 * s + 1) if s >= 0 else Fraction(1, 2 * s - 1))
+    offset, direction = space.layout[i]
+    local = {M_INF: Fraction(0), P_INF: Fraction(1)}.get(p.coord)
+    if local is None:
+        local = (1 + Fraction(p.coord, 1 + abs(p.coord))) / 2
+    return offset + local if direction > 0 else offset + 1 - local
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(RATIO_SPACES).flatmap(
+    lambda s: st.tuples(st.just(s), deep_points(s))))
+def test_line_ratio_is_the_old_fraction_in_lowest_terms(case):
+    space, p = case
+    p = canonical(space, p)
+    piece, i, n, d = spaces._line_ratio(space, p)
+    want = old_line_coordinate(space, p)
+    assert (n, d) == (want.numerator, want.denominator)
+    assert i == space.copies.index(p.copy)
+    assert piece == (0 if space.gluings else i)
+
+
+@st.composite
+def ball_cases(draw):
+    """A centre and a test point, or two pairs, and a radius on the
+    sphere, 10**-k inside or outside it, or an ordinary value."""
+    space = draw(st.sampled_from(RATIO_SPACES))
+    point = deep_points(space)
+    if draw(st.booleans()):
+        c, p = draw(point), draw(point)
+    else:
+        c, p = (draw(point), draw(point)), (draw(point), draw(point))
+    d = metric(space, c, p)
+    near = Fraction(1, 10 ** draw(st.integers(1, 90)))
+    radius = draw(st.one_of(st.sampled_from([d, d - near, d + near]),
+                            st.integers(0, 4),
+                            st.fractions(0, 4, max_denominator=1000),
+                            st.floats(0, 4)))
+    return space, c, radius, p
+
+
+@settings(deadline=None, max_examples=500)
+@given(ball_cases())
+def test_ball_membership_is_the_metric_below_the_radius(case):
+    space, c, radius, p = case
+    assert contains(space, Ball(c, radius), p) == (metric(space, c, p) < radius)
+
+
+def test_ball_membership_reads_no_metric(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("metric called")
+
+    monkeypatch.setattr(spaces, "metric", refuse)
+    monkeypatch.setattr(spaces, "_metric1", refuse)
+    s = THREE_GLUED
+    assert contains(s, Ball(MINF1, Fraction(1, 8)), Point(-8, 1))
+    assert not contains(s, Ball(MINF1, 1), PINF2)
+    pair = (Point(0, 1), Point(P_INF, 3))
+    assert contains(s, Ball((Point(1, 1), PINF1), Fraction(1, 3)), pair)
+    assert not contains(LAMPLIGHTER, Ball((up(0), down(0)), 2),
+                        (down(0), up(0)))
+
+
+GOOD = (Point(0, 1), Point(2, 3))
+FAULTS = (Point(4.0, 1), Point(0, 9))   # a TypeError and a ValueError
+
+
+def raised(call):
+    try:
+        call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_ball_membership_raises_what_metric_raises_first():
+    # each leg is good, a TypeError fault or a ValueError fault, in every
+    # combination: the centre's first leg, the image's first leg, then
+    # the second legs, the order in which metric checks them
+    for legs in itertools.product(range(3), repeat=4):
+        c0, p0, c1, p1 = [((GOOD[k // 2],) + FAULTS)[i]
+                          for k, i in enumerate(legs)]
+        for c, p, faulty in [((c0, c1), (p0, p1), any(legs)),
+                             (c0, p0, any(legs[:2]))]:
+            want = raised(lambda: metric(THREE_GLUED, c, p))
+            assert (want is not None) == faulty
+            assert raised(lambda: contains(THREE_GLUED, Ball(c, 1), p)) == want
+
+
+@pytest.mark.parametrize("c, p", [
+    (up(0), (up(0), down(0))),
+    ((up(0), down(0)), up(0)),
+    ((up(0), down(0), down(1)), (up(0), down(0))),
+])
+def test_ball_membership_rejects_a_point_against_a_pair(c, p):
+    with pytest.raises(TypeError, match="metric needs two points or two "
+                                        "pairs of points"):
+        contains(LAMPLIGHTER, Ball(c, Fraction(1, 2)), p)
