@@ -315,10 +315,11 @@ def corner_average_oracle(n):
     """Direct summation for the distance between the window empirical
     measure of (up n, up n+1) and the four-corner measure: each of the
     four copy-flag groups carries quarter mass and travels to its own
-    corner."""
+    corner: a finite s is 1/(2|s| + 1) from the point at infinity."""
     total = Fraction(0)
     for a in range(n, 2 * n + 1):
-        total += abs(spaces._phi(n - a)) + abs(spaces._phi(n + 1 - a))
+        total += (Fraction(1, 2 * abs(n - a) + 1)
+                  + Fraction(1, 2 * abs(n + 1 - a) + 1))
     return total / (n + 1)
 
 

@@ -3,23 +3,22 @@ rational weights, empirical averages along Folner sets, and an exact
 Wasserstein-1 distance.
 
 Every distance goes through one pairwise path: `w1` is its case of two
-measures, and `cluster_detect` runs it once over its whole tail.  The
-path sorts the union support once.  When that support is isometric to
-a subset of the line (always the case inside one connected component,
-and for pair measures whose two legs move monotonically together), it
-reads every distance from one sweep over that chart; otherwise it
-solves one transportation problem per pair.  Both routes run on
-integers.  The line route sums |CDF| times gap along the chart with
-positions and weights scaled by the lcm of their denominators.  The
-flow route reads its whole cost table from one integer chart of the
-legs (`spaces.integer_chart`), scales the weights the same way, and
-runs a transportation simplex: a least-cost start, integer duals on a
-spanning-tree basis, and Orden's perturbation of the weights, so no
-pivot is degenerate and the simplex cannot cycle.  When either side is
-a single atom, W1 is the sum of weight times distance.  Each answer is
-the integer total over the product of the two scales, so it stays
-exact.  The two routes agree on their overlap, which the test suite
-checks.
+measures, and `cluster_detect` runs it once over its whole tail.  Both
+of its routes read distances from one integer chart of the legs
+(`spaces.integer_chart`), so no metric is called.  When the union
+support is isometric to a subset of the line (always the case inside
+one connected piece, and for pair measures whose two legs move
+monotonically together), the path sorts it on that chart and reads
+every distance from one sweep: |CDF| times gap, with the weights scaled
+by the lcm of their denominators.  Otherwise it solves one
+transportation problem per pair: the whole cost table comes from the
+chart, the weights are scaled the same way, and a transportation
+simplex runs: a least-cost start, integer duals on a spanning-tree
+basis, and Orden's perturbation of the weights, so no pivot is
+degenerate and the simplex cannot cycle.  When either side is a single
+atom, W1 is the sum of weight times distance.  Each answer is the
+integer total over the product of the two scales, so it stays exact.
+The two routes agree on their overlap, which the test suite checks.
 
 The limit probes read four module constants: `cluster_detect` compares
 the last CLUSTER_TAIL measures against CLUSTER_TOL, and `heavy_limits`
@@ -39,7 +38,7 @@ from fractions import Fraction
 
 from . import folner, spaces
 from .pushforward import images
-from .spaces import canonical, component, embed, sort_key
+from .spaces import canonical, sort_key
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,14 @@ def _canonical_atom(space, p):
 
 
 def measure(space, weighted_points):
-    """Build a measure from (point, weight) pairs; merges and sorts."""
+    """Build a measure from (point, weight) pairs; merges and sorts.
+    The atoms must be all points or all pairs of points."""
     acc = {}
     for p, w in weighted_points:
         p = _canonical_atom(space, p)
         acc[p] = acc.get(p, Fraction(0)) + Fraction(w)
+    if len({isinstance(p, tuple) for p in acc}) > 1:
+        raise ValueError("the atoms mix points and pairs of points")
     atoms = tuple((p, w) for p, w in sorted(acc.items(),
                                             key=lambda it: sort_key(space, it[0]))
                   if w != 0)
@@ -106,23 +108,25 @@ MAX_ATOMS = 4000  # w1 raises BudgetError above this; atoms are never merged
 
 
 def _line_positions(space, points):
-    """Chain coordinates if the points lie in one connected piece, or
+    """(scale, order, pos) if the points lie in one connected piece, or
     are pairs whose legs each stay in one piece and move monotonically
-    together; else None.  `points` must be sorted by sort_key."""
-    if not isinstance(points[0], tuple):
-        if len({component(space, p) for p in points}) == 1:
-            return [embed(space, p) for p in points]
+    together; else None.  Every leg is placed once on one
+    `spaces.integer_chart`: `order` is the points in sort_key order, and
+    pos[k] - pos[0] is the int metric(space, order[0], order[k]) * scale."""
+    legs = [p if isinstance(p, tuple) else (p,) for p in points]
+    scale, chart = spaces.integer_chart(space,
+                                        {q for leg in legs for q in leg})
+    if len({tuple(chart[q][0] for q in leg) for leg in legs}) > 1:
         return None
-    comps = {(component(space, p[0]), component(space, p[1])) for p in points}
-    if len(comps) == 1:
-        e1 = [embed(space, p[0]) for p in points]
-        e2 = [embed(space, p[1]) for p in points]
-        if _monotone(e1) and _monotone(e2):
-            pos = [Fraction(0)]
-            for i in range(1, len(points)):
-                pos.append(pos[-1] + abs(e1[i] - e1[i - 1]) + abs(e2[i] - e2[i - 1]))
-            return pos
-    return None
+    # in fixed pieces, sort_key orders by the legs' chart coordinates
+    xs = [[chart[q][2] for q in leg] for leg in legs]
+    at = sorted(range(len(points)), key=xs.__getitem__)
+    if not all(map(_monotone, zip(*(xs[k] for k in at)))):
+        return None
+    # each leg moves monotonically, so the path length is the distance
+    first = xs[at[0]]
+    pos = [sum(abs(x - y) for x, y in zip(xs[k], first)) for k in at]
+    return scale, [points[k] for k in at], pos
 
 
 def _monotone(vals):
@@ -156,30 +160,28 @@ def _distances(ms):
     for i, j in pairs:
         _check_pair(ms[i], ms[j])
     space = ms[0].space
-    support = sorted({p for m in ms for p, _ in m.atoms},
-                     key=lambda p: sort_key(space, p))
-    pos = _line_positions(space, support)
-    if pos is None:
+    line = _line_positions(space, list({p for m in ms for p, _ in m.atoms}))
+    if line is None:
         return [Fraction(0) if ms[i].atoms == ms[j].atoms
                 else _w1_flow(space, ms[i], ms[j]) for i, j in pairs]
-    at = {p: k for k, p in enumerate(support)}
+    scale, order, pos = line
+    at = {p: k for k, p in enumerate(order)}
     signed = [[(at[p], w) for p, w in m.atoms] for m in ms]
-    return _w1_line(pos, [signed[i] + [(k, -w) for k, w in signed[j]]
-                          for i, j in pairs])
+    return _w1_line(scale, pos, [signed[i] + [(k, -w) for k, w in signed[j]]
+                                 for i, j in pairs])
 
 
-def _w1_line(pos, vectors):
+def _w1_line(pos_scale, pos, vectors):
     """Integrate |CDF| along a line chart, once per signed mass vector.
 
-    `pos` holds the strictly increasing chart coordinates of a sorted
-    support, and each vector lists (index into `pos`, signed weight)
-    entries.  On the line W1 is the L1 distance between the two CDFs
-    (Vallender, 1973).  Positions are scaled to integers by the lcm of
-    their denominators and weights by the lcm of theirs, so the sum runs
-    on Python ints; each answer is total / (weight_scale * pos_scale)."""
-    pos_scale = math.lcm(*{x.denominator for x in pos})
-    ipos = [x.numerator * (pos_scale // x.denominator) for x in pos]
-    gaps = [b - a for a, b in zip(ipos, ipos[1:])]
+    `pos` holds the strictly increasing int chart coordinates of a
+    sorted support, each its line position times `pos_scale`, and each
+    vector lists (index into `pos`, signed weight) entries.  On the line
+    W1 is the L1 distance between the two CDFs (Vallender, 1973).
+    Weights are scaled to integers by the lcm of their denominators, so
+    the sum runs on Python ints; each answer is
+    total / (weight_scale * pos_scale)."""
+    gaps = [b - a for a, b in zip(pos, pos[1:])]
     denominators = {w.denominator for vec in vectors for _, w in vec}
     weight_scale = math.lcm(*denominators)
     factor = {d: weight_scale // d for d in denominators}

@@ -15,16 +15,17 @@ different pieces sit at distance equal to their copy separation.
 `two_point_space` rejects every other layout, and a gluing with a
 finite point, with a `ValueError`.
 
-Every line coordinate comes from one integer ratio n/d per point
-(`_line_ratio`), and ball membership is decided on those ints: the legs'
-distances are summed as one integer fraction and cross-multiplied with
-the radius, so `contains` builds no Fraction and reads no metric cache.
+Every point is placed by one integer ratio n/d (`_line_ratio`), and
+every distance is read from those ints with no cache: `_leg` gives a
+leg's distance as one integer fraction, which `metric` reduces and ball
+membership sums and cross-multiplies with the radius.  Point sets are
+placed on one integer scale (`integer_chart`), which nearest distances
+and W1 read.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .groups import INTEGERS, LAMPLIGHTER, IntShift, Lamp
 
@@ -145,9 +146,8 @@ def canonical(space, p):
 
 def _checked(space, p):
     """The canonical form of `p`, whose copy must belong to the space and
-    whose coordinate must be an int or a limit: the action moves a
-    finite coordinate through the integers, and the caches below are
-    keyed by points, so an equal float must not reach them."""
+    whose coordinate must be an int or a limit: the action and the
+    line ratios below are integer arithmetic."""
     if p.coord in _LIMITS:   # only limit points are glued
         p = canonical(space, p)
     elif not isinstance(p.coord, int):
@@ -160,14 +160,6 @@ def _checked(space, p):
 
 def _layout_of(space, tag):
     return space.layout[space.copies.index(tag)]
-
-
-@lru_cache(maxsize=None)
-def _phi(s):
-    # one-point circle coordinate; integers accumulate at 0 = infinity
-    if s >= 0:
-        return Fraction(1, 2 * s + 1)
-    return Fraction(1, 2 * s - 1)
 
 
 def embed(space, p):
@@ -214,16 +206,6 @@ def _line_ratio(space, p):
     return piece, i, x.numerator, x.denominator
 
 
-def component(space, p):
-    """Identifier of the connected piece a point lies in."""
-    return _piece(space, _checked(space, p))
-
-
-def _piece(space, p):
-    # p is canonical and its copy is in the space
-    return _copy_piece(space, p.copy)
-
-
 def _copy_piece(space, tag):
     # a glued space is one chain; otherwise each copy is its own piece
     return 0 if space.gluings else space.copies.index(tag)
@@ -259,14 +241,20 @@ def is_pair(p):
             and isinstance(p[0], Point) and isinstance(p[1], Point))
 
 
-@lru_cache(maxsize=1_000_000)
 def _metric1(space, p, q):
     # p and q have passed _checked
-    if p == q:
-        return Fraction(0)
-    if _piece(space, p) == _piece(space, q):
-        return abs(_line_coordinate(space, p) - _line_coordinate(space, q))
-    return Fraction(abs(space.copies.index(p.copy) - space.copies.index(q.copy)))
+    return Fraction(*_leg(space, p, q))
+
+
+def _leg(space, p, q):
+    """(num, den) with metric(space, p, q) = num/den for two checked
+    points: their copy separation over 1 across pieces, and
+    |n_p·d_q - n_q·d_p| over d_p·d_q in one piece (`_line_ratio`)."""
+    piece_p, i, n_p, d_p = _line_ratio(space, p)
+    piece_q, j, n_q, d_q = _line_ratio(space, q)
+    if piece_p != piece_q:
+        return abs(i - j), 1
+    return abs(n_p * d_q - n_q * d_p), d_p * d_q
 
 
 def integer_chart(space, points):
@@ -274,7 +262,7 @@ def integer_chart(space, points):
     x), with x its line coordinate times `scale`, the lcm of the
     coordinates' denominators.  Then metric(space, p, q) * scale is
     |x - y| for p and q in one piece, and their copy separation times
-    scale across pieces, both ints: `_metric1` read on one integer
+    scale across pieces, both ints: the metric read on one integer
     scale, with each point checked once."""
     chart = {p: _line_ratio(space, _checked(space, p)) for p in points}
     scale = math.lcm(*{d for _, _, _, d in chart.values()})
@@ -289,29 +277,26 @@ def nearest_distance(space, left, right):
     so the smallest gap there is between neighbours from opposite sides
     in the piece's sorted line coordinates; across pieces it is the copy
     separation, which depends only on the (piece, copy index) pairs
-    present.  O(k log k) for k points instead of |left|·|right| metric
-    calls."""
-    lines = {}             # component -> [(float, line coordinate, side)]
-    tags = (set(), set())  # per side: (component, copy index)
-    for side, points in enumerate((left, right)):
+    present.  Both sides are placed on one `integer_chart`, so the sort
+    and the gaps run on ints.  O(k log k) for k points instead of
+    |left|·|right| metric calls."""
+    sides = (list(left), list(right))
+    scale, chart = integer_chart(space, sides[0] + sides[1])
+    lines = {}             # piece -> [(x, side)]
+    tags = (set(), set())  # per side: (piece, copy index)
+    for side, points in enumerate(sides):
         for p in points:
-            p = _checked(space, p)
-            i = space.copies.index(p.copy)
-            c = _piece(space, p)
-            x = _line_coordinate(space, p)
-            # the float leads the sort key only to spare Fraction
-            # comparisons; rounding is monotone, so the order is exact
-            lines.setdefault(c, []).append((float(x), x, side))
-            tags[side].add((c, i))
+            piece, i, x = chart[p]
+            lines.setdefault(piece, []).append((x, side))
+            tags[side].add((piece, i))
     if not tags[0] or not tags[1]:
         raise ValueError("nearest_distance needs points on both sides")
-    gaps = [Fraction(abs(i - j))
+    gaps = [scale * abs(i - j)
             for c, i in tags[0] for d, j in tags[1] if c != d]
     for line in lines.values():
         line.sort()
-        gaps += [b - a for (_, a, s), (_, b, t) in zip(line, line[1:])
-                 if s != t]
-    return min(gaps)
+        gaps += [b - a for (a, s), (b, t) in zip(line, line[1:]) if s != t]
+    return Fraction(min(gaps), scale)
 
 
 def copy_gap(space, copy_a, copy_b):
@@ -378,7 +363,7 @@ def shift_distance_total(space, p, q, lo, hi):
     first shift fixes it, and the part adds that sign times the
     difference of the two coordinate sums."""
     p, q = _checked(space, p), _checked(space, q)
-    if _piece(space, p) != _piece(space, q):
+    if _copy_piece(space, p.copy) != _copy_piece(space, q.copy):
         return (hi - lo + 1) * _metric1(space, p, q)
     sigma = 1 if space.action == TRANSLATE else -1
     # u = coord + sigma*a is >= 0 up to (shift) or from (translate) the cut
@@ -491,7 +476,7 @@ def sort_key(space, p):
     if isinstance(p, tuple):
         return tuple(sort_key(space, q) for q in p)
     p = _checked(space, p)
-    return _piece(space, p), _line_coordinate(space, p)
+    return _copy_piece(space, p.copy), _line_coordinate(space, p)
 
 
 # ---------------------------------------------------------------- text forms
@@ -534,11 +519,10 @@ def point_to_json(p):
 
 def _in_ball(space, c, r, p):
     """metric(space, c, p) < r, decided on ints for an int or Fraction
-    radius: each leg adds its copy separation across pieces, and
-    |n_c/d_c - n_p/d_p| in one piece (`_line_ratio`), to one fraction
-    num/den, which is then compared with r by cross-multiplying.  The
-    legs are checked in `metric`'s order, and a point against a pair
-    raises its TypeError."""
+    radius: each leg adds its `_leg` to one fraction num/den, which is
+    then compared with r by cross-multiplying.  The legs are checked in
+    `metric`'s order, and a point against a pair raises its
+    TypeError."""
     exact = isinstance(r, (int, Fraction))
     if exact and isinstance(c, Point) and isinstance(p, Point):
         legs = ((c, p),)
@@ -548,13 +532,8 @@ def _in_ball(space, c, r, p):
         return metric(space, c, p) < r
     num, den = 0, 1
     for a, b in legs:
-        piece_a, i, n_a, d_a = _line_ratio(space, _checked(space, a))
-        piece_b, j, n_b, d_b = _line_ratio(space, _checked(space, b))
-        if piece_a != piece_b:
-            num += abs(i - j) * den
-        else:
-            num = num * d_a * d_b + abs(n_a * d_b - n_b * d_a) * den
-            den *= d_a * d_b
+        n, d = _leg(space, _checked(space, a), _checked(space, b))
+        num, den = num * d + n * den, den * d
     return num * r.denominator < r.numerator * den
 
 

@@ -90,6 +90,16 @@ def test_w1_non_isometric_support_takes_the_flow_route(monkeypatch):
     assert routes == ["flow"]
 
 
+def test_a_measure_that_mixes_points_and_pairs_is_rejected():
+    point, pair = Point(0, 1), (Point(0, 1), Point(2, 3))
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="mix points and pairs of points"):
+        measure(THREE_GLUED, [(point, half), (pair, half)])
+    with pytest.raises(ValueError, match="mix points and pairs of points"):
+        combine([(half, dirac(THREE_GLUED, point)),
+                 (half, dirac(THREE_GLUED, pair))])
+
+
 def test_w1_rejects_a_point_measure_against_a_pair_measure():
     point = dirac(TWO_POINT, TP_MINF)
     pair = dirac(TWO_POINT, (TP_MINF, TP_MINF))
@@ -351,7 +361,10 @@ def test_w1_line_route_matches_the_flow_and_a_fraction_sweep(case):
     space, (mu, nu) = case
     support = sorted({p for p, _ in mu.atoms + nu.atoms},
                      key=lambda p: spaces.sort_key(space, p))
-    assert measures._line_positions(space, support) is not None
+    scale, order, pos = measures._line_positions(space, support[::-1])
+    assert order == support
+    assert all(Fraction(x - pos[0], scale) == metric(space, order[0], p)
+               for p, x in zip(order, pos))
     d = w1(mu, nu)
     assert d == measures._w1_flow(space, mu, nu)
     assert d == _cdf_reference(space, mu, nu)
@@ -367,8 +380,8 @@ def test_w1_line_route_is_exact_beyond_machine_words():
                              for s in range(-20, 21)])
     support = sorted({p for p, _ in mu.atoms + nu.atoms},
                      key=lambda p: spaces.sort_key(TWO_POINT, p))
-    pos = measures._line_positions(TWO_POINT, support)
-    assert math.lcm(*(x.denominator for x in pos)) > 2 ** 64
+    scale, _, _ = measures._line_positions(TWO_POINT, support)
+    assert scale > 2 ** 64
     assert w1(mu, nu) == _cdf_reference(TWO_POINT, mu, nu)
 
 

@@ -140,10 +140,8 @@ def test_a_point_outside_the_space_is_rejected_even_against_itself():
 
 
 def test_a_coordinate_that_is_not_an_int_is_rejected_before_any_cache():
-    # Point(4.0, 1) equals Point(4, 1), so a cache keyed by points would
-    # answer for it once the int point had been seen
-    spaces._metric1.cache_clear()
-    spaces._phi.cache_clear()
+    # Point(4.0, 1) equals Point(4, 1); it is refused even after the int
+    # point has been seen
     calls = [
         lambda c: metric(TWO_POINT, Point(c, 1), Point(0, 1)),
         lambda c: metric(THREE_GLUED, (Point(0, 1), Point(c, 3)),
@@ -202,18 +200,20 @@ def test_two_point_embedding_is_order_preserving(a, b):
 
 def points_of(space):
     """Points of the space as callers write them: glued aliases such as
-    Point(P_INF, 3) on three-glued, limits, and coordinates both small
-    and so large that distinct line coordinates round to one float."""
-    limits = [O_INF] if space is LAMPLIGHTER_Z else [M_INF, P_INF]
+    Point(P_INF, 3) on three-glued, limits, and coordinates small, so
+    large that distinct line coordinates round to one float, and up to
+    about 10**40."""
+    limits = [O_INF] if space.kind == ONE_POINT else [M_INF, P_INF]
     coord = st.one_of(st.integers(-12, 12), st.sampled_from(limits),
                       st.integers(10 ** 17, 10 ** 18),
-                      st.integers(-10 ** 18, -10 ** 17))
+                      st.integers(-10 ** 18, -10 ** 17),
+                      st.integers(-10 ** 40, 10 ** 40))
     return st.builds(Point, coord, st.sampled_from(space.copies))
 
 
 @st.composite
 def two_sides(draw):
-    space = draw(st.sampled_from([THREE_GLUED, TWO_POINT, LAMPLIGHTER_Z]))
+    space = draw(st.sampled_from(RATIO_SPACES))
     left = draw(st.lists(points_of(space), min_size=1, max_size=10))
     right = draw(st.lists(points_of(space), max_size=10))
     # some points sit on both sides
@@ -236,6 +236,7 @@ def test_nearest_distance_single_points_and_empty_sides():
     s = THREE_GLUED
     assert nearest_distance(s, [Point(P_INF, 3)], [PINF1]) == 0
     assert nearest_distance(s, [MINF1], [PINF2]) == 3
+    assert nearest_distance(s, iter([MINF1]), iter([PINF2])) == 3
     assert nearest_distance(LAMPLIGHTER_Z, [up(O_INF)], [down(O_INF)]) == 1
     with pytest.raises(ValueError, match="both sides"):
         nearest_distance(s, [MINF1], [])
@@ -415,6 +416,37 @@ def test_line_ratio_is_the_old_fraction_in_lowest_terms(case):
     assert (n, d) == (want.numerator, want.denominator)
     assert i == space.copies.index(p.copy)
     assert piece == (0 if space.gluings else i)
+
+
+def old_metric(space, p, q):
+    """The metric from `old_line_coordinate`: the distance along the line
+    in one piece, the copy separation across pieces."""
+    if isinstance(p, tuple):
+        return old_metric(space, p[0], q[0]) + old_metric(space, p[1], q[1])
+    p, q = canonical(space, p), canonical(space, q)
+    i, j = space.copies.index(p.copy), space.copies.index(q.copy)
+    if space.gluings or i == j:
+        return abs(old_line_coordinate(space, p)
+                   - old_line_coordinate(space, q))
+    return Fraction(abs(i - j))
+
+
+@st.composite
+def metric_cases(draw):
+    """Two points, or two pairs of points, of one space."""
+    space = draw(st.sampled_from(RATIO_SPACES))
+    point = deep_points(space)
+    if draw(st.booleans()):
+        return space, draw(point), draw(point)
+    return space, (draw(point), draw(point)), (draw(point), draw(point))
+
+
+@settings(deadline=None, max_examples=300)
+@given(metric_cases())
+def test_metric_is_the_old_fraction_distance(case):
+    space, p, q = case
+    assert metric(space, p, q) == old_metric(space, p, q)
+    assert metric(space, q, p) == old_metric(space, p, q)
 
 
 @st.composite
